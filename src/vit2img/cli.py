@@ -178,11 +178,13 @@ def evaluate_model(gen: Generator, samples, extractor_kind: str, seed: int,
     else:
         outputs_rendered = [rendered_pair(task, out, s.target)[0]
                             for s, out in zip(samples, model_outputs(gen, samples))]
-    extractor = make_extractor(extractor_kind, gen.config.image_size, seed)
+    # Segmentation renders to RGB, regression to its output channels (1 for depth).
+    channels = 3 if task == "segmentation" else gen.config.out_channels
+    extractor = make_extractor(extractor_kind, gen.config.image_size, seed, channels=channels)
     ssim_vals = [ssim(o, t) for o, t in zip(outputs_rendered, targets_rendered)]
     fid_val = fid(targets_rendered, outputs_rendered, extractor)
     classifier = extractor if isinstance(extractor, TinyClassifier) else \
-        TinyClassifier(n_classes=8, seed=seed)
+        TinyClassifier(n_classes=8, seed=seed, channels=channels)
     is_val = inception_score(outputs_rendered, classifier)
     return MetricsReport(
         model=model_name,

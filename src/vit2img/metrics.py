@@ -303,14 +303,16 @@ class TinyClassifier:
         self.trained = True
 
 
-def make_extractor(kind: str, image_size: int, seed: int = 0, n_classes: int = 8):
-    """Build one of the three extractor kinds by name."""
+def make_extractor(kind: str, image_size: int, seed: int = 0, n_classes: int = 8,
+                   channels: int = 3):
+    """Build one of the three extractor kinds by name, for images of
+    ``image_size`` x ``image_size`` x ``channels``."""
     if kind == "pixel":
         return PixelDownsampleExtractor()
     if kind == "proj":
-        return RandomProjectionExtractor((image_size, image_size, 3), seed=seed)
+        return RandomProjectionExtractor((image_size, image_size, channels), seed=seed)
     if kind == "tiny":
-        return TinyClassifier(n_classes=n_classes, seed=seed)
+        return TinyClassifier(n_classes=n_classes, seed=seed, channels=channels)
     raise ContractError(f"unknown extractor kind {kind!r}; expected pixel, proj or tiny")
 
 

@@ -10,8 +10,19 @@ off the final tensor.  ``backward(loss)`` walks that graph once in reverse
 topological order, keeping adjoints for interior nodes in a per-call table
 and accumulating into ``.grad`` only on ``requires_grad`` leaves.  Calling
 ``backward`` twice without ``zero_grad`` therefore accumulates leaf grads.
-Graphs are not retained across optimizer steps; they are garbage-collected
-with the loss tensor.
+
+Graph lifetime: the tape lives exactly as long as the last reference to the
+loss (or any other tensor of the graph).  ``backward`` frees nothing, so one
+graph may be walked twice; a training loop drops its loss right after
+``backward`` so that the next step's forward does not run beside the old
+tape.
+
+What the tape keeps is kept small.  ``conv2d`` keeps its input and kernel
+tensors but not the im2col matrix (K*K times the input): its backward
+rebuilds the matrix from the input for the dW GEMM, then overwrites it with
+the patch gradients of the dx GEMM.  Train-mode ``batch_norm`` is one node
+that keeps the normalized input and the per-channel inverse deviation, with
+a closed-form backward.
 
 A recording graph is confined to one thread.  Tensors themselves are
 immutable after construction except for grad accumulation, so finished
@@ -468,6 +479,11 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode: str,
     Train mode uses batch statistics and updates the running arrays in place
     via an exponential moving average; eval mode normalizes with the stored
     running statistics.  Returns the normalized tensor.
+
+    Train mode is one tape node that keeps only ``xhat`` and the per-channel
+    ``inv``; its backward is the closed form
+    ``dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))`` with
+    ``dxhat = g * gamma``, ``dgamma = sum(g * xhat)`` and ``dbeta = sum(g)``.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     c = x.shape[-1]
@@ -477,20 +493,36 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode: str,
         )
     if mode == "train":
         axes = tuple(range(x.data.ndim - 1))
-        mu = mean(x, axis=axes, keepdims=True)
-        centered = sub(x, mu)
-        var = mean(mul(centered, centered), axis=axes, keepdims=True)
+        mu = x.data.mean(axis=axes, keepdims=True)
+        centered = x.data - mu
+        var = (centered * centered).mean(axis=axes, keepdims=True)
         running_mean *= momentum
-        running_mean += (1.0 - momentum) * mu.data.reshape(c)
+        running_mean += (1.0 - momentum) * mu.reshape(c)
         running_var *= momentum
-        running_var += (1.0 - momentum) * var.data.reshape(c)
-        inv = power(add(var, eps), -0.5)
-        xhat = mul(centered, inv)
-    elif mode == "eval":
-        inv = 1.0 / np.sqrt(running_var + eps)
-        xhat = mul(sub(x, Tensor(running_mean)), Tensor(inv))
-    else:
+        running_var += (1.0 - momentum) * var.reshape(c)
+        inv = (var + eps) ** -0.5
+        xhat = centered * inv
+        del centered
+        out = xhat * gamma.data + beta.data
+
+        count = x.size // c
+
+        def grad(g):
+            # With dxhat = g * gamma: mean(dxhat) = gamma * dbeta / count and
+            # mean(dxhat * xhat) = gamma * dgamma / count.
+            dbeta = g.sum(axis=axes)
+            dgamma = (g * xhat).sum(axis=axes)
+            dx = xhat * (dgamma / count)
+            np.subtract(g, dx, out=dx)
+            dx -= dbeta / count
+            dx *= gamma.data * inv
+            return dx, dgamma, dbeta
+
+        return _make(out, (x, gamma, beta), grad)
+    if mode != "eval":
         raise ContractError(f"batch_norm: mode must be 'train' or 'eval', got {mode!r}")
+    inv = 1.0 / np.sqrt(running_var + eps)
+    xhat = mul(sub(x, Tensor(running_mean)), Tensor(inv))
     return add(mul(xhat, gamma), beta)
 
 
@@ -523,7 +555,8 @@ def _conv_geometry(h: int, w: int, k: int, stride: int, padding: str):
 
 
 def _im2col(xpad: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """View the padded NHWC input as [N, Ho, Wo, K, K, C] patches."""
+    """Copy the padded NHWC input's [N, Ho, Wo, K, K, C] patches into a new,
+    writeable C-contiguous array (a copy even when the patches are the input)."""
     n, _, _, c = xpad.shape
     sn, sh, sw, sc = xpad.strides
     view = np.lib.stride_tricks.as_strided(
@@ -532,7 +565,7 @@ def _im2col(xpad: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarr
         strides=(sn, sh * stride, sw * stride, sh, sw, sc),
         writeable=False,
     )
-    return np.ascontiguousarray(view)
+    return view.copy()
 
 
 def _col2im(cols: np.ndarray, xpad_shape, stride: int) -> np.ndarray:
@@ -559,18 +592,26 @@ def conv2d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
         raise DimensionError(f"conv2d: bias {b.shape} does not match {cout} output channels")
 
     ho, wo, pt, pb, pl, pr = _conv_geometry(h, wd, k, stride, padding)
-    xpad = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    cols = _im2col(xpad, k, stride, ho, wo).reshape(n * ho * wo, k * k * cin)
-    out = cols @ w.data.reshape(k * k * cin, cout)
+
+    def patches():
+        # The im2col matrix is K*K times the input, so it is rebuilt in
+        # backward rather than kept on the tape; same bytes, same GEMMs.
+        xpad = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+        return _im2col(xpad, k, stride, ho, wo).reshape(n * ho * wo, k * k * cin)
+
+    out = patches() @ w.data.reshape(k * k * cin, cout)
     if b is not None:
         out += b.data
     out = out.reshape(n, ho, wo, cout)
 
     def grad(g):
         g2 = g.reshape(n * ho * wo, cout)
+        cols = patches()
         dw = (cols.T @ g2).reshape(w.shape)
-        dcols = (g2 @ w.data.reshape(k * k * cin, cout).T).reshape(n, ho, wo, k, k, cin)
-        dxpad = _col2im(dcols, xpad.shape, stride)
+        # The patch gradients reuse the patch buffer: one K*K-sized array at a time.
+        dcols = np.matmul(g2, w.data.reshape(k * k * cin, cout).T, out=cols)
+        dcols = dcols.reshape(n, ho, wo, k, k, cin)
+        dxpad = _col2im(dcols, (n, h + pt + pb, wd + pl + pr, cin), stride)
         dx = dxpad[:, pt:pt + h, pl:pl + wd, :]
         db = g2.sum(axis=0) if b is not None else None
         return np.ascontiguousarray(dx), dw, db

@@ -144,10 +144,17 @@ def train(gen: Generator, dataset, epochs: int, batch_size: int, loss_kind: str,
     non-finite.  A checkpoint is written at the end when ``checkpoint_path``
     is given, and every ``checkpoint_every`` epochs when that is set.
     ``max_steps`` caps the number of optimizer steps; ``stop_loss`` stops
-    once the batch loss falls below it.
+    once the batch loss falls below it.  ``epochs``, ``batch_size`` and a
+    given ``max_steps`` must be >= 1 (ContractError otherwise).
+
+    Each step's graph is dropped right after its backward, so at most one
+    tape is alive at a time.
     """
     if not dataset:
         raise DataError("train: dataset is empty")
+    for name, value in (("epochs", epochs), ("batch_size", batch_size), ("max_steps", max_steps)):
+        if value is not None and value < 1:
+            raise ContractError(f"train: {name} must be >= 1, got {value}")
     task = gen.config.task
     if (task == "segmentation") != (loss_kind == "scc"):
         raise ContractError(f"loss kind {loss_kind!r} does not fit task {task!r}")
@@ -171,6 +178,7 @@ def train(gen: Generator, dataset, epochs: int, batch_size: int, loss_kind: str,
                     f"sample index {start}, dataset indices {batch_idx.tolist()})"
                 )
             T.backward(loss)
+            del loss
             adam_step(named, state)
             gen.zero_grad()
             step += 1

@@ -86,6 +86,15 @@ def test_train_config_error_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--epochs", "0"], ["--epochs", "-1"],
+                                   ["--batch-size", "0"], ["--steps", "0"]])
+def test_train_nonpositive_budget_exit_2(tmp_path, capsys, flags):
+    rc = main(["train", "--synthetic", "shapes:n=4,size=16", "--out",
+               str(tmp_path / "x"), *TINY_MODEL, *flags])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_dataset_exit_2(tmp_path):
     rc = main(["train", "--out", str(tmp_path / "x"), *TINY_MODEL])
     assert rc == 2
@@ -116,6 +125,23 @@ def test_eval_report_columns(tmp_path):
     table = (eval_dir / "metrics.txt").read_text()
     assert table.splitlines()[0].split() == ["Model", "FID", "IS", "SSIM"]
     assert "pixel_downsample" in table  # extractor descriptor embedded
+
+
+def test_eval_regression_checkpoint(tmp_path):
+    # Depth outputs render to one channel; every extractor must accept that.
+    out = run_train(tmp_path, "dep", synthetic="depth:n=4,size=16", steps="1")
+    for extractor in ("pixel", "proj", "tiny"):
+        eval_dir = tmp_path / f"eval-{extractor}"
+        rc = main(["eval", "--checkpoint", str(out / "checkpoint.ckpt"),
+                   "--synthetic", "depth:n=4,size=16", "--out", str(eval_dir),
+                   "--seed", "5", "--extractor", extractor])
+        assert rc == 0
+        kv = dict(line.split(" = ") for line in
+                  (eval_dir / "metrics.kv").read_text().strip().splitlines())
+        assert np.isfinite(float(kv["fid"])) and np.isfinite(float(kv["is"]))
+    rc = main(["eval", "--checkpoint", str(out / "checkpoint.ckpt"),
+               "--synthetic", "depth:n=0,size=16", "--out", str(tmp_path / "eval-empty")])
+    assert rc == 3
 
 
 def test_eval_task_mismatch_exit_2(tmp_path):

@@ -207,6 +207,48 @@ def test_batch_norm_train_gradient(rng):
     check_gradients(op, [x, gamma, beta], rtol=1e-4)
 
 
+def composite_batch_norm_train(x, gamma, beta, running_mean, running_var,
+                               eps=1e-5, momentum=0.99):
+    """Train-mode batch norm as a graph of elementwise ops and means."""
+    axes = tuple(range(x.data.ndim - 1))
+    c = x.shape[-1]
+    mu = T.mean(x, axis=axes, keepdims=True)
+    centered = T.sub(x, mu)
+    var = T.mean(T.mul(centered, centered), axis=axes, keepdims=True)
+    running_mean *= momentum
+    running_mean += (1.0 - momentum) * mu.data.reshape(c)
+    running_var *= momentum
+    running_var += (1.0 - momentum) * var.data.reshape(c)
+    inv = T.power(T.add(var, eps), -0.5)
+    return T.add(T.mul(T.mul(centered, inv), gamma), beta)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2, 2), (4, 5, 3, 6), (7, 4)])
+def test_batch_norm_train_matches_composite(rng, shape):
+    x = rng.normal(loc=0.5, scale=3.0, size=shape)
+    gamma = rng.normal(size=shape[-1])
+    beta = rng.normal(size=shape[-1])
+    probe = rng.normal(size=shape)
+    results = []
+    for fn in (lambda *args: T.batch_norm(*args, "train"), composite_batch_norm_train):
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        rm, rv = np.full(shape[-1], 0.25), np.full(shape[-1], 2.0)
+        out = fn(xt, gt, bt, rm, rv)
+        T.backward(T.sum_(T.mul(out, Tensor(probe))))
+        results.append((out.data, rm, rv, xt.grad, gt.grad, bt.grad))
+    fused, composite = results
+    for got, want in zip(fused[:3], composite[:3]):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(fused[3:], composite[3:]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_batch_norm_train_is_one_tape_node(rng):
+    x = Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True)
+    out = T.batch_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), np.zeros(4), np.ones(4), "train")
+    assert out._parents[0] is x
+
+
 # --- conv2d ---------------------------------------------------------------------
 
 def test_conv2d_1x1_identity(rng):
@@ -249,6 +291,93 @@ def test_conv2d_gradients(rng):
     w = rng.normal(size=(3, 3, 2, 3))
     b = rng.normal(size=3)
     check_gradients(lambda xt, wt, bt: T.conv2d(xt, wt, bt, 2, "same"), [x, w, b])
+
+
+def conv2d_explicit_cols_grads(x, w, b, g, stride, padding):
+    """dx, dW, db of conv2d from an im2col matrix built here, step by step.
+
+    The GEMMs and the scatter order over (ki, kj) are those of an im2col
+    convolution that keeps its patch matrix, so the results are bit-equal.
+    """
+    n, h, wd, cin = x.shape
+    k, _, _, cout = w.shape
+    ho, wo = g.shape[1:3]
+    if padding == "same":
+        pt = max((ho - 1) * stride + k - h, 0) // 2
+        pl = max((wo - 1) * stride + k - wd, 0) // 2
+        pb = max((ho - 1) * stride + k - h, 0) - pt
+        pr = max((wo - 1) * stride + k - wd, 0) - pl
+    else:
+        pt = pb = pl = pr = 0
+    xpad = np.zeros((n, h + pt + pb, wd + pl + pr, cin))
+    xpad[:, pt:pt + h, pl:pl + wd, :] = x
+    cols = np.empty((n, ho, wo, k, k, cin))
+    for i in range(ho):
+        for j in range(wo):
+            cols[:, i, j] = xpad[:, i * stride:i * stride + k, j * stride:j * stride + k, :]
+    cols = cols.reshape(n * ho * wo, k * k * cin)
+    g2 = g.reshape(n * ho * wo, cout)
+    dw = (cols.T @ g2).reshape(w.shape)
+    dcols = (g2 @ w.reshape(k * k * cin, cout).T).reshape(n, ho, wo, k, k, cin)
+    dxpad = np.zeros(xpad.shape)
+    for ki in range(k):
+        for kj in range(k):
+            dxpad[:, ki:ki + ho * stride:stride, kj:kj + wo * stride:stride, :] += dcols[:, :, :, ki, kj, :]
+    return dxpad[:, pt:pt + h, pl:pl + wd, :], dw, g2.sum(axis=0)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")])
+def test_conv2d_gradients_match_explicit_cols(rng, stride, padding, k):
+    x = rng.normal(size=(2, 7, 6, 3))
+    w = rng.normal(size=(k, k, 3, 4))
+    b = rng.normal(size=4)
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = T.conv2d(xt, wt, bt, stride, padding)
+    g = rng.normal(size=out.shape)
+    T.backward(T.sum_(T.mul(out, Tensor(g))))
+    dx, dw, db = conv2d_explicit_cols_grads(x, w, b, g, stride, padding)
+    np.testing.assert_array_equal(xt.grad, dx)
+    np.testing.assert_array_equal(wt.grad, dw)
+    np.testing.assert_array_equal(bt.grad, db)
+
+
+def closure_arrays(fn, seen=None):
+    """Every ndarray a backward closure can reach: its cells, the data and
+    grad of tensors in them, and nested closures, without walking the graph."""
+    seen = set() if seen is None else seen
+    found = []
+    for cell in getattr(fn, "__closure__", None) or ():
+        try:
+            value = cell.cell_contents
+        except ValueError:
+            continue
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, Tensor):
+            found += [a for a in (value.data, value.grad) if a is not None]
+        elif callable(value):
+            found += closure_arrays(value, seen)
+    return found
+
+
+@pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid")])
+def test_conv2d_backward_keeps_no_patch_matrix(rng, stride, padding):
+    x = Tensor(rng.normal(size=(2, 9, 9, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3, 4, 5)), requires_grad=True)
+    out = T.conv2d(x, w, Tensor(np.zeros(5)), stride, padding)
+    pad = 2 if padding == "same" else 0
+    xpad_bytes = 2 * (9 + pad) * (9 + pad) * 4 * 8
+    limit = max(xpad_bytes, out.data.nbytes)
+    arrays = closure_arrays(out._backward)
+    assert arrays  # the walk does reach the input and kernel
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        assert a.nbytes <= limit, f"backward keeps a {a.shape} array ({a.nbytes} bytes > {limit})"
 
 
 # --- conv2d_transpose -------------------------------------------------------------

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,32 @@ def test_train_task_loss_compatibility():
 def test_train_empty_dataset():
     with pytest.raises(DataError):
         train(tiny_model(), [], epochs=1, batch_size=2, loss_kind="scc", seed=0)
+
+
+def test_train_drops_each_graph_before_the_next_step():
+    # Graphs that some other test left alive are not this loop's; holding
+    # them in `before` keeps their ids from being reused.
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, Tensor) and o._parents]
+    known = {id(o) for o in before}
+    live_graphs = []
+
+    def hook(rec):
+        gc.collect()
+        live_graphs.append(sum(1 for o in gc.get_objects()
+                               if isinstance(o, Tensor) and o._parents and id(o) not in known))
+
+    train(tiny_model(), tiny_dataset(4), epochs=1, batch_size=2, loss_kind="scc",
+          seed=0, record_hook=hook)
+    assert live_graphs == [0, 0]
+
+
+@pytest.mark.parametrize("override", [{"epochs": 0}, {"epochs": -1}, {"batch_size": 0},
+                                      {"max_steps": 0}, {"max_steps": -2}])
+def test_train_rejects_nonpositive_budget(override):
+    kwargs = {"epochs": 1, "batch_size": 2, "max_steps": None, **override}
+    with pytest.raises(ContractError, match=next(iter(override))):
+        train(tiny_model(), tiny_dataset(2), loss_kind="scc", seed=0, **kwargs)
 
 
 def test_train_writes_checkpoint_and_log(tmp_path):
