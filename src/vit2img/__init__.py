@@ -4,15 +4,15 @@ scale rather than throughput."""
 
 from .errors import (CheckpointError, ConfigError, ContractError, DataError,
                      DimensionError, NumericError, Vit2ImgError)
-from .models import (Generator, ModelConfig, build_baselines, build_generator,
-                     load_checkpoint, save_checkpoint)
+from .models import (Generator, ModelConfig, build_generator, load_checkpoint,
+                     save_checkpoint)
 from .tensor import Tensor, backward, no_grad
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Tensor", "backward", "no_grad",
-    "Generator", "ModelConfig", "build_generator", "build_baselines",
+    "Generator", "ModelConfig", "build_generator",
     "save_checkpoint", "load_checkpoint",
     "Vit2ImgError", "DimensionError", "ConfigError", "ContractError",
     "DataError", "NumericError", "CheckpointError",

@@ -22,19 +22,27 @@ from .data import (PairedSample, load_image, load_manifest_dataset,
 from .errors import ConfigError, DataError, NumericError, Vit2ImgError
 from .metrics import (MetricsReport, TinyClassifier, fid, format_table,
                       inception_score, make_extractor, ssim)
-from .models import (Generator, ModelConfig, build_generator, load_checkpoint,
-                     save_checkpoint)
-from .training import compute_loss, loss_kind_for_task, train, write_train_log
+from .models import Generator, ModelConfig, build_generator, load_checkpoint
+from .training import loss_kind_for_task, train, write_train_log
 
 MODEL_KEYS = {
     "variant": str, "task": str, "image_size": int, "patch_size": int,
     "embed_dim": int, "num_heads": int, "ffn_width": int,
     "num_transformer_layers": int, "out_channels": int, "seed": int,
 }
+
+
+def boolean(raw: str) -> bool:
+    """Parse the echo of a bool: exactly ``True`` or ``False``."""
+    if raw not in ("True", "False"):
+        raise ValueError(raw)
+    return raw == "True"
+
+
 RUN_KEYS = {
     "synthetic": str, "manifest": str, "epochs": int, "steps": int,
     "batch_size": int, "stop_loss": float, "out": str, "extractor": str,
-    "montage_every": int, "checkpoint": str, "classes": int,
+    "montage_every": int, "checkpoint": str, "classes": int, "self_eval": boolean,
 }
 
 
@@ -107,7 +115,10 @@ class RunConfig:
 
 
 def resolve_dataset(cfg: RunConfig) -> tuple[list[PairedSample], str, int, int]:
-    """Return (samples, task, classes, image_size) from synthetic or manifest flags."""
+    """Return (samples, task, classes, image_size) from synthetic or manifest flags.
+
+    The dataset decides the task; a configured ``task`` must agree with it.
+    """
     if cfg.get("synthetic") and cfg.get("manifest"):
         raise ConfigError("pass either --synthetic or --manifest, not both")
     if cfg.get("synthetic"):
@@ -118,14 +129,17 @@ def resolve_dataset(cfg: RunConfig) -> tuple[list[PairedSample], str, int, int]:
         seed = opts.get("seed", cfg.get("seed", 0))
         samples = make_synthetic(kind, n, image_size, seed, classes)
         task = "segmentation" if kind == "shapes" else "regression"
-        return samples, task, classes, image_size
-    if cfg.get("manifest"):
+    elif cfg.get("manifest"):
         manifest = read_manifest(cfg.get("manifest"))
         samples = load_manifest_dataset(manifest)
         if not samples:
             raise DataError(f"manifest {cfg.get('manifest')} lists no samples")
-        return samples, manifest.task, manifest.classes, manifest.image_size
-    raise ConfigError("no dataset: pass --synthetic kind:opts or --manifest path")
+        task, classes, image_size = manifest.task, manifest.classes, manifest.image_size
+    else:
+        raise ConfigError("no dataset: pass --synthetic kind:opts or --manifest path")
+    if cfg.get("task", task) != task:
+        raise ConfigError(f"configured task {cfg.get('task')!r} does not match the dataset's task {task!r}")
+    return samples, task, classes, image_size
 
 
 def model_config_from(cfg: RunConfig, task: str, classes: int, image_size: int) -> ModelConfig:
@@ -156,28 +170,23 @@ def model_outputs(gen: Generator, samples: list[PairedSample]) -> list[np.ndarra
     return outs
 
 
-def rendered_pair(task: str, output: np.ndarray, target: np.ndarray):
-    """Map raw model output / target to comparable [-1, 1] images."""
+def render(task: str, image: np.ndarray) -> np.ndarray:
+    """Map a model output or a target to a [-1, 1] image.  For segmentation,
+    [H, W, K] logits (through their argmax) and [H, W] class maps both go
+    through the palette; regression values are clipped."""
     if task == "segmentation":
-        return render_class_map(np.argmax(output, axis=-1)), render_class_map(target)
-    return np.clip(output, -1, 1), np.clip(target, -1, 1)
-
-
-def render_target(task: str, target: np.ndarray) -> np.ndarray:
-    if task == "segmentation":
-        return render_class_map(target)
-    return np.clip(target, -1, 1)
+        return render_class_map(image if image.ndim == 2 else np.argmax(image, axis=-1))
+    return np.clip(image, -1, 1)
 
 
 def evaluate_model(gen: Generator, samples, extractor_kind: str, seed: int,
                    model_name: str, self_eval: bool = False) -> MetricsReport:
     task = gen.config.task
-    targets_rendered = [render_target(task, s.target) for s in samples]
+    targets_rendered = [render(task, s.target) for s in samples]
     if self_eval:
         outputs_rendered = [t.copy() for t in targets_rendered]
     else:
-        outputs_rendered = [rendered_pair(task, out, s.target)[0]
-                            for s, out in zip(samples, model_outputs(gen, samples))]
+        outputs_rendered = [render(task, out) for out in model_outputs(gen, samples)]
     # Segmentation renders to RGB, regression to its output channels (1 for depth).
     channels = 3 if task == "segmentation" else gen.config.out_channels
     extractor = make_extractor(extractor_kind, gen.config.image_size, seed, channels=channels)
@@ -199,10 +208,9 @@ def evaluate_model(gen: Generator, samples, extractor_kind: str, seed: int,
 def _write_montage(gen: Generator, samples, path, max_rows: int = 4) -> None:
     rows = []
     subset = samples[:max_rows]
+    task = gen.config.task
     for s, out in zip(subset, model_outputs(gen, subset)):
-        out_img, tgt_img = rendered_pair(gen.config.task, out, s.target)
-        inp = np.clip(s.input, -1, 1)
-        rows.append([inp, tgt_img, out_img])
+        rows.append([np.clip(s.input, -1, 1), render(task, s.target), render(task, out)])
     montage(rows, path)
 
 
@@ -274,11 +282,7 @@ def cmd_infer(cfg: RunConfig) -> int:
         )
     with T.no_grad():
         out = gen.forward(image[None], "eval").data[0]
-    if gen.config.task == "segmentation":
-        rendered = render_class_map(np.argmax(out, axis=-1))
-    else:
-        rendered = np.clip(out, -1, 1)
-    save_image(rendered, cfg.require("output"))
+    save_image(render(gen.config.task, out), cfg.require("output"))
     print(f"wrote {cfg.require('output')}")
     return 0
 
@@ -319,11 +323,9 @@ def cmd_compare(cfg: RunConfig) -> int:
     subset = samples[:4]
     outs = {name: model_outputs(g, subset) for name, g in trained.items()}
     for i, s in enumerate(subset):
-        _, tgt_img = rendered_pair(task, outs["vit-c"][i], s.target)
-        row = [np.clip(s.input, -1, 1), tgt_img]
+        row = [np.clip(s.input, -1, 1), render(task, s.target)]
         for name in ("autoencoder", "unet", "vit-c"):
-            out_img, _ = rendered_pair(task, outs[name][i], s.target)
-            row.append(out_img)
+            row.append(render(task, outs[name][i]))
         rows.append(row)
     montage(rows, out_dir / "comparison.ppm")
     print(table, end="")
@@ -352,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--classes", type=int, default=None)
         if model:
             p.add_argument("--variant", choices=["A", "B", "C", "unet", "autoencoder"], default=None)
-            p.add_argument("--task", choices=["segmentation", "regression"], default=None)
             p.add_argument("--image-size", dest="image_size", type=int, default=None)
             p.add_argument("--patch-size", dest="patch_size", type=int, default=None)
             p.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_eval, model=False, budget=False)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--extractor", choices=["pixel", "proj", "tiny"], default=None)
-    p_eval.add_argument("--self-eval", dest="self_eval", action="store_true",
+    p_eval.add_argument("--self-eval", dest="self_eval", action="store_true", default=None,
                         help="score targets against themselves (sanity mode)")
 
     p_infer = sub.add_parser("infer", help="run one image through a checkpoint")
@@ -400,8 +401,6 @@ def main(argv=None) -> int:
             cfg.values["output"] = args.output
             return cmd_infer(cfg)
         cfg = RunConfig(args)
-        if getattr(args, "self_eval", False):
-            cfg.values["self_eval"] = True
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "eval":

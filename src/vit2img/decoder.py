@@ -10,32 +10,11 @@ residual blocks; LeakyReLU elsewhere in the decoder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError
 from .layers import LEAKY_SLOPE, BatchNorm, Conv2d, ConvTranspose2d, Module
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    """Channel schedule and output head settings for the upsampling path."""
-
-    channel_schedule: tuple[tuple[int, int], ...]  # (transpose_ch, residual_ch) per stage
-    initial_grid: tuple[int, int, int]             # (side, side, channels)
-    out_channels: int
-    final_activation: str = "tanh"                 # "tanh" | "none"
-
-    def __post_init__(self):
-        side, side2, _ = self.initial_grid
-        if side != side2:
-            raise ConfigError(f"initial grid must be square, got {self.initial_grid}")
-        if self.final_activation not in ("tanh", "none"):
-            raise ConfigError(f"final_activation must be 'tanh' or 'none', got {self.final_activation!r}")
-
 
 DEFAULT_SCHEDULE: tuple[tuple[int, int], ...] = ((512, 512), (256, 256), (64, 64), (32, 32))
 
@@ -83,16 +62,12 @@ class ResidualBlock(Module):
         return T.relu(T.add(y, shortcut))
 
 
-def residual_block(x, params: ResidualBlock, mode: str) -> Tensor:
-    return params(x, mode)
-
-
 class UpsampleStage(Module):
     """conv2d_transpose(stride 2) -> batch norm -> LeakyReLU [-> residual block]."""
 
     def __init__(self, rng, in_ch: int, transpose_ch: int, residual_ch: int | None):
         super().__init__()
-        self.ct = self.add_module("ct", ConvTranspose2d(rng, in_ch, transpose_ch, kernel=4, stride=2))
+        self.ct = self.add_module("ct", ConvTranspose2d(rng, in_ch, transpose_ch))
         self.bn = self.add_module("bn", BatchNorm(transpose_ch))
         self.res = None
         if residual_ch is not None:
@@ -104,10 +79,6 @@ class UpsampleStage(Module):
         if self.res is not None:
             y = self.res(y, mode)
         return y
-
-
-def upsample_stage(x, stage: UpsampleStage, mode: str) -> Tensor:
-    return stage(x, mode)
 
 
 class SkipProjection(Module):
@@ -142,17 +113,11 @@ class OutputHead(Module):
     """Final 3x3 stride-1 convolution; tanh for image outputs, raw logits for
     segmentation (the loss applies its own softmax)."""
 
-    def __init__(self, rng, in_ch: int, out_channels: int, final_activation: str):
+    def __init__(self, rng, in_ch: int, out_channels: int, tanh: bool):
         super().__init__()
-        if final_activation not in ("tanh", "none"):
-            raise ConfigError(f"final_activation must be 'tanh' or 'none', got {final_activation!r}")
-        self.final_activation = final_activation
+        self.tanh = tanh
         self.conv = self.add_module("conv", Conv2d(rng, in_ch, out_channels, 3))
 
     def __call__(self, x):
         y = self.conv(x)
-        return T.tanh(y) if self.final_activation == "tanh" else y
-
-
-def output_head(x, params: OutputHead) -> Tensor:
-    return params(x)
+        return T.tanh(y) if self.tanh else y

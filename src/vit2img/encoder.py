@@ -42,10 +42,6 @@ class PatchConfig:
     def patch_len(self) -> int:
         return self.patch_size * self.patch_size * self.channels
 
-    @property
-    def grid_side(self) -> int:
-        return self.image_size // self.patch_size
-
 
 def extract_patches(images, patch_size: int) -> Tensor:
     """Split [N, H, W, C] images into [N, num_patches, patch_len] rows.
@@ -88,14 +84,10 @@ class PatchEncoder(Module):
         patches = T.as_tensor(patches)
         if patches.shape[-1] != self.config.patch_len:
             raise DimensionError(
-                f"encode_patches: patch length {patches.shape[-1]} does not match projection rows {self.config.patch_len}"
+                f"patch encoder: patch length {patches.shape[-1]} does not match projection rows {self.config.patch_len}"
             )
         tokens = T.add(T.matmul(patches, self.projection), self.bias)
         return T.add(tokens, self.positions)
-
-
-def encode_patches(patches, params: PatchEncoder) -> Tensor:
-    return params(patches)
 
 
 def scaled_dot_product_attention(q, k, v) -> Tensor:
@@ -149,10 +141,6 @@ class MultiHeadAttention(Module):
         return T.matmul(joined, self.w_o)
 
 
-def multi_head_attention(x, params: MultiHeadAttention) -> Tensor:
-    return params(x)
-
-
 class FeedForward(Module):
     """Per-token Linear -> ReLU -> Linear."""
 
@@ -178,27 +166,3 @@ class TransformerLayer(Module):
     def __call__(self, x):
         y = self.ln1(T.add(x, self.attn(x)))
         return self.ln2(T.add(y, self.ffn(y)))
-
-
-def transformer_layer(x, params: TransformerLayer) -> Tensor:
-    return params(x)
-
-
-class VitEncoder(Module):
-    """Patch extraction, patch encoding and a stack of transformer layers."""
-
-    def __init__(self, rng, config: PatchConfig, num_heads: int, ffn_width: int,
-                 num_layers: int):
-        super().__init__()
-        self.config = config
-        self.patch = self.add_module("patch", PatchEncoder(rng, config))
-        self.layers: list[TransformerLayer] = []
-        for i in range(num_layers):
-            layer = TransformerLayer(rng, config.embed_dim, num_heads, ffn_width)
-            self.layers.append(self.add_module(f"layers.{i}", layer))
-
-    def __call__(self, images) -> Tensor:
-        tokens = self.patch(extract_patches(images, self.config.patch_size))
-        for layer in self.layers:
-            tokens = layer(tokens)
-        return tokens

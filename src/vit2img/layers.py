@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .errors import DimensionError
 from .tensor import Tensor
 
 log = logging.getLogger("vit2img")
@@ -84,37 +83,34 @@ class Module:
 class Linear(Module):
     """y = x @ weight + bias, applied to the last axis."""
 
-    def __init__(self, rng, in_dim: int, out_dim: int, bias: bool = True):
+    def __init__(self, rng, in_dim: int, out_dim: int):
         super().__init__()
         self.weight = self.register_parameter(
             "weight", Tensor(xavier_uniform(rng, (in_dim, out_dim), in_dim, out_dim))
         )
-        self.bias = self.register_parameter("bias", Tensor(np.zeros(out_dim))) if bias else None
+        self.bias = self.register_parameter("bias", Tensor(np.zeros(out_dim)))
 
     def __call__(self, x):
-        y = T.matmul(x, self.weight)
-        return T.add(y, self.bias) if self.bias is not None else y
+        return T.add(T.matmul(x, self.weight), self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = LAYER_NORM_EPS):
+    def __init__(self, dim: int):
         super().__init__()
-        self.eps = eps
         self.gamma = self.register_parameter("gamma", Tensor(np.ones(dim)))
         self.beta = self.register_parameter("beta", Tensor(np.zeros(dim)))
 
     def __call__(self, x):
-        return T.layer_norm(x, self.gamma, self.beta, self.eps)
+        return T.layer_norm(x, self.gamma, self.beta, LAYER_NORM_EPS)
 
 
 class BatchNorm(Module):
     """Per-channel batch norm over NHWC input with EMA running statistics."""
 
-    def __init__(self, channels: int, eps: float = BATCH_NORM_EPS,
-                 momentum: float = BATCH_NORM_MOMENTUM):
+    def __init__(self, channels: int):
         super().__init__()
-        self.eps = eps
-        self.momentum = momentum
+        # The EMA momentum; refresh_batch_norm_stats varies it while it recalibrates.
+        self.momentum = BATCH_NORM_MOMENTUM
         self.gamma = self.register_parameter("gamma", Tensor(np.ones(channels)))
         self.beta = self.register_parameter("beta", Tensor(np.zeros(channels)))
         self.running_mean = self.register_buffer("running_mean", np.zeros(channels))
@@ -128,20 +124,18 @@ class BatchNorm(Module):
             log.warning("batch norm evaluated before any training step; using initialized stats (mean 0, var 1)")
             self._warned = True
         out = T.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                           self.running_var, mode, self.eps, self.momentum)
+                           self.running_var, mode, BATCH_NORM_EPS, self.momentum)
         if mode == "train":
             self.batches_tracked[0] += 1
         return out
 
 
 class Conv2d(Module):
-    """3x3-style convolution with a [K, K, Cin, Cout] kernel."""
+    """'Same'-padded convolution with a [K, K, Cin, Cout] kernel."""
 
-    def __init__(self, rng, in_ch: int, out_ch: int, kernel: int,
-                 stride: int = 1, padding: str = "same"):
+    def __init__(self, rng, in_ch: int, out_ch: int, kernel: int, stride: int = 1):
         super().__init__()
         self.stride = stride
-        self.padding = padding
         fan_in = kernel * kernel * in_ch
         fan_out = kernel * kernel * out_ch
         self.kernel = self.register_parameter(
@@ -150,21 +144,21 @@ class Conv2d(Module):
         self.bias = self.register_parameter("bias", Tensor(np.zeros(out_ch)))
 
     def __call__(self, x):
-        return T.conv2d(x, self.kernel, self.bias, self.stride, self.padding)
+        return T.conv2d(x, self.kernel, self.bias, self.stride, "same")
 
 
 class ConvTranspose2d(Module):
-    """Stride-s transposed convolution with a [K, K, Cout, Cin] kernel."""
+    """Stride-2 transposed convolution with a [4, 4, Cout, Cin] kernel: it
+    doubles the spatial size."""
 
-    def __init__(self, rng, in_ch: int, out_ch: int, kernel: int = 4, stride: int = 2):
+    def __init__(self, rng, in_ch: int, out_ch: int):
         super().__init__()
-        self.stride = stride
-        fan_in = kernel * kernel * in_ch
-        fan_out = kernel * kernel * out_ch
+        fan_in = 16 * in_ch
+        fan_out = 16 * out_ch
         self.kernel = self.register_parameter(
-            "kernel", Tensor(xavier_uniform(rng, (kernel, kernel, out_ch, in_ch), fan_in, fan_out))
+            "kernel", Tensor(xavier_uniform(rng, (4, 4, out_ch, in_ch), fan_in, fan_out))
         )
         self.bias = self.register_parameter("bias", Tensor(np.zeros(out_ch)))
 
     def __call__(self, x):
-        return T.conv2d_transpose(x, self.kernel, self.bias, self.stride, "same")
+        return T.conv2d_transpose(x, self.kernel, self.bias, 2, "same")

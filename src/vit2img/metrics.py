@@ -10,7 +10,7 @@ descriptor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -207,10 +207,6 @@ class PixelDownsampleExtractor:
                 feats[:, i, j, :] = arr[:, ys[i]:ys[i + 1], xs[j]:xs[j + 1], :].mean(axis=(1, 2))
         return feats.reshape(n, -1)
 
-    @property
-    def output_dim(self) -> int:
-        return self.grid * self.grid * 3
-
 
 class RandomProjectionExtractor:
     """Seeded Gaussian random projection of flattened pixels."""
@@ -265,10 +261,6 @@ class TinyClassifier:
     def descriptor(self) -> str:
         return (f"tiny_classifier(k={self.n_classes},hidden={self.hidden},"
                 f"seed={self.seed},trained={self.trained})")
-
-    @property
-    def output_dim(self) -> int:
-        return self.hidden
 
     def _hidden(self, images) -> Tensor:
         feats = self._pool.extract(images)

@@ -16,9 +16,10 @@ the Autoencoder.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log2
 from typing import Optional
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .decoder import (DEFAULT_SCHEDULE, OutputHead, SkipProjection,
                       UpsampleStage, tokens_to_grid, upsample_concat)
-from .encoder import PatchConfig, VitEncoder
+from .encoder import PatchConfig, PatchEncoder, TransformerLayer, extract_patches
 from .errors import (CheckpointFormatError, CheckpointMismatchError,
                      CheckpointVersionError, ConfigError, DimensionError)
 from .layers import (BATCH_NORM_EPS, BATCH_NORM_MOMENTUM, LAYER_NORM_EPS,
@@ -100,10 +101,6 @@ class ModelConfig:
             raise ConfigError("skip_projection_channels applies to variant B only")
         return self
 
-    @property
-    def final_activation(self) -> str:
-        return "none" if self.task == "segmentation" else "tanh"
-
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
         if d["decoder_schedule"] is not None:
@@ -135,11 +132,11 @@ class Generator(Module):
     def _build_vit(self, rng):
         cfg = self.config
         patch_cfg = PatchConfig(cfg.image_size, cfg.patch_size, cfg.embed_dim, cfg.in_channels)
-        self.patch_config = patch_cfg
-        self.encoder = self.add_module(
-            "encoder",
-            VitEncoder(rng, patch_cfg, cfg.num_heads, cfg.ffn_width, cfg.num_transformer_layers),
-        )
+        self.patch = self.add_module("encoder.patch", PatchEncoder(rng, patch_cfg))
+        self.layers: list[TransformerLayer] = []
+        for i in range(cfg.num_transformer_layers):
+            layer = TransformerLayer(rng, cfg.embed_dim, cfg.num_heads, cfg.ffn_width)
+            self.layers.append(self.add_module(f"encoder.layers.{i}", layer))
         self.stages: list[UpsampleStage] = []
         skip_ch = 0
         if cfg.variant == "B":
@@ -161,7 +158,7 @@ class Generator(Module):
                     )
                 self.skip_projs.append(proj)
         head_in = in_ch if cfg.variant == "B" else self.stages[-1].out_channels
-        self.head = self.add_module("head", OutputHead(rng, head_in, cfg.out_channels, cfg.final_activation))
+        self.head = self.add_module("head", OutputHead(rng, head_in, cfg.out_channels, cfg.task == "regression"))
 
     def _build_baseline(self, rng):
         cfg = self.config
@@ -184,13 +181,13 @@ class Generator(Module):
         cur = in_ch
         for i in range(downs):
             out_ch = ladder[downs - 1 - i] // 2
-            ct = self.add_module(f"dec.{i}.ct", ConvTranspose2d(rng, cur, out_ch, kernel=4, stride=2))
+            ct = self.add_module(f"dec.{i}.ct", ConvTranspose2d(rng, cur, out_ch))
             bn = self.add_module(f"dec.{i}.bn", BatchNorm(out_ch))
             self.dec_layers.append((ct, bn))
             cur = out_ch
             if self.use_skips and i < downs - 1:
                 cur += ladder[downs - 2 - i]
-        self.head = self.add_module("head", OutputHead(rng, cur, cfg.out_channels, cfg.final_activation))
+        self.head = self.add_module("head", OutputHead(rng, cur, cfg.out_channels, cfg.task == "regression"))
 
     # -- forward ------------------------------------------------------------
 
@@ -213,12 +210,10 @@ class Generator(Module):
     __call__ = forward
 
     def _forward_vit(self, images, mode):
-        from .encoder import extract_patches
-
         cfg = self.config
-        encoded = self.encoder.patch(extract_patches(images, cfg.patch_size))
+        encoded = self.patch(extract_patches(images, cfg.patch_size))
         tokens = encoded
-        for layer in self.encoder.layers:
+        for layer in self.layers:
             tokens = layer(tokens)
         act = tokens_to_grid(tokens)
         if cfg.variant == "B":
@@ -259,13 +254,6 @@ def build_generator(config: ModelConfig) -> Generator:
     return Generator(config)
 
 
-def build_baselines(config: ModelConfig) -> Generator:
-    """Build a 'unet' or 'autoencoder' comparison model."""
-    if config.variant not in ("unet", "autoencoder"):
-        raise ConfigError(f"build_baselines expects variant 'unet' or 'autoencoder', got {config.variant!r}")
-    return Generator(config)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 #
@@ -284,48 +272,61 @@ CHECKPOINT_VERSION = 1
 KIND_PARAM, KIND_BUFFER, KIND_OPT = 0, 1, 2
 
 
-def _pack_record(name: str, kind: int, arr: np.ndarray) -> bytes:
+def _pack_record(name: str, kind: int, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """A record's head (name, kind, shape) and its float64 payload."""
     nb = name.encode("utf-8")
-    out = [struct.pack("<H", len(nb)), nb, struct.pack("<BB", kind, arr.ndim)]
-    out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    out.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(out)
+    head = b"".join([struct.pack("<H", len(nb)), nb, struct.pack("<BB", kind, arr.ndim),
+                     struct.pack(f"<{arr.ndim}I", *arr.shape)])
+    return head, np.ascontiguousarray(arr, dtype="<f8")
 
 
 def save_checkpoint(gen: Generator, path, optimizer_state: Optional[dict] = None) -> None:
-    """Write the generator (and optionally Adam state) to ``path``."""
+    """Write the generator (and optionally Adam state) to ``path``.
+
+    The records stream into ``<path>.tmp``, which then replaces ``path`` in
+    one rename, so a failed save leaves any earlier file at ``path`` intact.
+    """
     header = json.dumps({
         "config": gen.config.to_dict(),
         "constants": DESIGN_CONSTANTS,
         "seed": gen.config.seed,
     }, sort_keys=True).encode("utf-8")
-    records = []
-    for name, p in gen.named_parameters():
-        records.append(_pack_record(name, KIND_PARAM, p.data))
-    for name, arr in gen.named_buffers():
-        records.append(_pack_record(name, KIND_BUFFER, arr))
+    records = [(name, KIND_PARAM, p.data) for name, p in gen.named_parameters()]
+    records += [(name, KIND_BUFFER, arr) for name, arr in gen.named_buffers()]
     if optimizer_state is not None:
-        records.append(_pack_record("adam.t", KIND_OPT, np.array([float(optimizer_state["t"])])))
+        records.append(("adam.t", KIND_OPT, np.array([float(optimizer_state["t"])])))
         for name, (m, v) in optimizer_state["moments"].items():
-            records.append(_pack_record(f"adam.m.{name}", KIND_OPT, m))
-            records.append(_pack_record(f"adam.v.{name}", KIND_OPT, v))
-    body = b"".join([
-        CHECKPOINT_MAGIC,
-        struct.pack("<I", CHECKPOINT_VERSION),
-        struct.pack("<I", len(header)), header,
-        struct.pack("<I", len(records)), *records,
-    ])
-    with open(path, "wb") as f:
-        f.write(body)
-        f.write(struct.pack("<I", zlib.crc32(body)))
+            records.append((f"adam.m.{name}", KIND_OPT, m))
+            records.append((f"adam.v.{name}", KIND_OPT, v))
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            crc = 0
+
+            def write(chunk) -> None:
+                nonlocal crc
+                f.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+
+            write(b"".join([CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(header)),
+                            header, struct.pack("<I", len(records))]))
+            for record in records:
+                for chunk in _pack_record(*record):
+                    write(chunk)
+            f.write(struct.pack("<I", crc))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: memoryview):
         self.blob = blob
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise CheckpointFormatError(
                 f"checkpoint truncated: wanted {n} bytes at offset {self.pos}, file has {len(self.blob)}"
@@ -354,21 +355,23 @@ def _read_records(path):
         raise CheckpointFormatError(f"{path}: bad magic bytes, not a checkpoint")
     if len(blob) < 8:
         raise CheckpointFormatError(f"{path}: truncated before version field")
+    # Slices of the view share the file's bytes; only the arrays are copied.
+    body = memoryview(blob)[:-4]
     stored_crc = struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(blob[:-4]) != stored_crc:
+    if zlib.crc32(body) != stored_crc:
         raise CheckpointFormatError(f"{path}: CRC mismatch, file is corrupt")
-    r = _Reader(blob[:-4])
+    r = _Reader(body)
     r.take(4)
     version = r.u32()
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"{path}: format version {version} unsupported (expected {CHECKPOINT_VERSION})"
         )
-    header = json.loads(r.take(r.u32()).decode("utf-8"))
+    header = json.loads(str(r.take(r.u32()), "utf-8"))
     count = r.u32()
     records: dict[str, tuple[int, np.ndarray]] = {}
     for _ in range(count):
-        name = r.take(r.u16()).decode("utf-8")
+        name = str(r.take(r.u16()), "utf-8")
         kind = r.u8()
         ndim = r.u8()
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))

@@ -99,46 +99,8 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; the module-level functions do the real work.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 def as_tensor(x) -> Tensor:
@@ -373,18 +335,18 @@ def concat(xs, axis: int) -> Tensor:
     return _make(out, tuple(xs), grad)
 
 
+def _unreduce(g: np.ndarray, shape, axis, keepdims: bool) -> np.ndarray:
+    """Adjoint of a reduction over ``axis``: restore the reduced axes of ``g``
+    and broadcast it back over the input ``shape`` (a read-only view)."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
+
+
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def grad(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _make(out, (a,), grad)
+    return _make(out, (a,), lambda g: (_unreduce(g, a.shape, axis, keepdims).copy(),))
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -395,15 +357,7 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     else:
         ax = (axis,) if isinstance(axis, int) else axis
         count = int(np.prod([a.shape[i] for i in ax]))
-
-    def grad(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, a.shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, a.shape).copy(),)
-
-    return _make(out, (a,), grad)
+    return _make(out, (a,), lambda g: (_unreduce(g / count, a.shape, axis, keepdims).copy(),))
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +403,8 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     s = e.sum(axis=axis, keepdims=True)
     out = np.log(s) + m
     soft = e / s
-
-    def grad(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (g * soft,)
-
-    return _make(out if keepdims else np.squeeze(out, axis=axis), (a,), grad)
+    return _make(out if keepdims else np.squeeze(out, axis=axis), (a,),
+                 lambda g: (_unreduce(g, a.shape, axis, keepdims) * soft,))
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:

@@ -132,8 +132,8 @@ def loss_kind_for_task(task: str) -> str:
 
 
 def train(gen: Generator, dataset, epochs: int, batch_size: int, loss_kind: str,
-          seed: int, checkpoint_path=None, checkpoint_every: Optional[int] = None,
-          max_steps: Optional[int] = None, stop_loss: Optional[float] = None,
+          seed: int, checkpoint_path=None, max_steps: Optional[int] = None,
+          stop_loss: Optional[float] = None,
           record_hook: Optional[Callable[[TrainRecord], None]] = None,
           epoch_hook: Optional[Callable[[int], None]] = None,
           state: Optional[AdamState] = None) -> tuple[Generator, list[TrainRecord]]:
@@ -142,10 +142,10 @@ def train(gen: Generator, dataset, epochs: int, batch_size: int, loss_kind: str,
     Shuffling, batching and initialization all derive from explicit seeds.
     Training aborts with NumericError (naming the batch) if the loss goes
     non-finite.  A checkpoint is written at the end when ``checkpoint_path``
-    is given, and every ``checkpoint_every`` epochs when that is set.
-    ``max_steps`` caps the number of optimizer steps; ``stop_loss`` stops
-    once the batch loss falls below it.  ``epochs``, ``batch_size`` and a
-    given ``max_steps`` must be >= 1 (ContractError otherwise).
+    is given.  ``max_steps`` caps the number of optimizer steps;
+    ``stop_loss`` stops once the batch loss falls below it.  ``epochs``,
+    ``batch_size`` and a given ``max_steps`` must be >= 1 (ContractError
+    otherwise).
 
     Each step's graph is dropped right after its backward, so at most one
     tape is alive at a time.
@@ -190,8 +190,6 @@ def train(gen: Generator, dataset, epochs: int, batch_size: int, loss_kind: str,
                (stop_loss is not None and loss_val < stop_loss):
                 done = True
                 break
-        if checkpoint_path is not None and checkpoint_every and (epoch + 1) % checkpoint_every == 0:
-            save_checkpoint(gen, checkpoint_path, state.as_dict())
         if epoch_hook is not None:
             epoch_hook(epoch)
         if done:

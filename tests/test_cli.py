@@ -51,6 +51,33 @@ def test_config_file_unknown_key(tmp_path):
         parse_config_file(cfg)
 
 
+def test_config_task_must_match_dataset(tmp_path, capsys):
+    # The dataset decides the task; a config file may only restate it.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("task = regression\n")
+    rc = main(["train", "--config", str(cfg), "--synthetic", "shapes:n=4,size=16",
+               "--out", str(tmp_path / "x"), "--steps", "1", *TINY_MODEL])
+    assert rc == 2
+    assert "task" in capsys.readouterr().err
+    cfg.write_text("task = segmentation\n")
+    rc = main(["train", "--config", str(cfg), "--synthetic", "shapes:n=4,size=16",
+               "--out", str(tmp_path / "y"), "--steps", "1", *TINY_MODEL])
+    assert rc == 0
+    with pytest.raises(SystemExit) as exc:  # no --task flag
+        main(["train", "--task", "regression", "--synthetic", "shapes:n=4,size=16",
+              "--out", str(tmp_path / "z"), *TINY_MODEL])
+    assert exc.value.code == 2
+
+
+def test_train_echo_round_trip(tmp_path):
+    out = run_train(tmp_path, "r1")
+    again = tmp_path / "r2"
+    assert main(["train", "--config", str(out / "config.txt"), "--out", str(again)]) == 0
+    assert (again / "checkpoint.ckpt").read_bytes() == (out / "checkpoint.ckpt").read_bytes()
+    echo = (out / "config.txt").read_text().replace(str(out), str(again))
+    assert (again / "config.txt").read_text() == echo
+
+
 # --- train -------------------------------------------------------------------------
 
 def test_train_writes_artifacts(tmp_path):
@@ -113,6 +140,33 @@ def test_eval_self_mode_perfect_scores(tmp_path):
               (eval_dir / "metrics.kv").read_text().strip().splitlines())
     assert float(kv["ssim"]) == 1.0
     assert float(kv["fid"]) < 1e-8
+
+
+def test_eval_self_eval_echo_round_trip(tmp_path, capsys):
+    ckpt = str(run_train(tmp_path) / "checkpoint.ckpt")
+    data = ["--synthetic", "shapes:n=4,size=16", "--seed", "5"]
+    first = tmp_path / "e1"
+    assert main(["eval", "--checkpoint", ckpt, *data, "--out", str(first), "--self-eval"]) == 0
+    assert "self_eval = True" in (first / "config.txt").read_text()
+    again = tmp_path / "e2"
+    assert main(["eval", "--checkpoint", ckpt, "--config", str(first / "config.txt"),
+                 "--out", str(again)]) == 0
+    assert (again / "metrics.kv").read_bytes() == (first / "metrics.kv").read_bytes()
+    # self_eval = False is a plain evaluation; any other value is a config error.
+    plain, off = tmp_path / "plain", tmp_path / "off"
+    assert main(["eval", "--checkpoint", ckpt, *data, "--out", str(plain)]) == 0
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("self_eval = False\n")
+    assert main(["eval", "--checkpoint", ckpt, "--config", str(cfg), *data, "--out", str(off)]) == 0
+    assert (off / "metrics.kv").read_bytes() == (plain / "metrics.kv").read_bytes()
+    assert (off / "metrics.kv").read_bytes() != (first / "metrics.kv").read_bytes()
+    for raw in ("true", "1", "yes", ""):
+        cfg.write_text(f"self_eval = {raw}\n")
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", ckpt, "--config", str(cfg), *data,
+                   "--out", str(tmp_path / "bad")])
+        assert rc == 2
+        assert "self_eval" in capsys.readouterr().err
 
 
 def test_eval_report_columns(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 import vit2img.tensor as T
 from conftest import check_gradients
 from vit2img.encoder import (MultiHeadAttention, PatchConfig, PatchEncoder,
-                             TransformerLayer, encode_patches, extract_patches,
+                             TransformerLayer, extract_patches,
                              scaled_dot_product_attention)
 from vit2img.errors import ConfigError, DimensionError
 from vit2img.tensor import Tensor
@@ -78,7 +78,7 @@ def make_encoder(rng_seed=0, image=8, patch=4, dim=6, channels=1):
 def test_encode_zero_patches_gives_positions():
     enc, cfg = make_encoder()
     patches = np.zeros((3, cfg.num_patches, cfg.patch_len))
-    out = encode_patches(patches, enc)
+    out = enc(patches)
     for n in range(3):
         np.testing.assert_array_equal(out.data[n], enc.positions.data)
 
@@ -88,14 +88,14 @@ def test_encode_identity_projection_preserves_patches(rng):
     enc.projection.data = np.eye(4)
     enc.positions.data = np.zeros_like(enc.positions.data)
     patches = rng.normal(size=(2, cfg.num_patches, 4))
-    out = encode_patches(patches, enc)
+    out = enc(patches)
     np.testing.assert_array_equal(out.data, patches)
 
 
 def test_encode_matches_per_token_oracle(rng):
     enc, cfg = make_encoder(rng_seed=3)
     patches = rng.normal(size=(2, cfg.num_patches, cfg.patch_len))
-    out = encode_patches(patches, enc)
+    out = enc(patches)
     for n in range(2):
         for i in range(cfg.num_patches):
             expected = patches[n, i] @ enc.projection.data + enc.bias.data + enc.positions.data[i]
@@ -105,7 +105,7 @@ def test_encode_matches_per_token_oracle(rng):
 def test_encode_patch_length_mismatch():
     enc, cfg = make_encoder()
     with pytest.raises(DimensionError):
-        encode_patches(np.zeros((1, cfg.num_patches, cfg.patch_len + 1)), enc)
+        enc(np.zeros((1, cfg.num_patches, cfg.patch_len + 1)))
 
 
 # --- scaled dot-product attention ------------------------------------------------
@@ -208,8 +208,8 @@ def test_positions_break_permutation_symmetry(rng):
     enc, cfg = make_encoder(rng_seed=5)
     patches = rng.normal(size=(1, cfg.num_patches, cfg.patch_len))
     perm = np.arange(cfg.num_patches)[::-1].copy()
-    out = encode_patches(patches, enc).data
-    out_perm = encode_patches(patches[:, perm], enc).data
+    out = enc(patches).data
+    out_perm = enc(patches[:, perm]).data
     assert not np.allclose(out_perm, out[:, perm])
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ import vit2img.tensor as T
 from vit2img.errors import (CheckpointFormatError, CheckpointMismatchError,
                             CheckpointVersionError, ConfigError,
                             DimensionError)
-from vit2img.models import (ModelConfig, build_baselines, build_generator,
-                            load_checkpoint, save_checkpoint)
+from vit2img.models import (ModelConfig, build_generator, load_checkpoint,
+                            save_checkpoint)
 from vit2img.training import AdamState, adam_step, mae_loss
 
 
@@ -158,7 +160,7 @@ def test_output_size_equals_input_size(rng, image_size, patch_size, variant):
 @pytest.mark.parametrize("image_size", [32, 64])
 @pytest.mark.parametrize("variant", ["unet", "autoencoder"])
 def test_baseline_output_size(rng, image_size, variant):
-    g = build_baselines(ModelConfig(variant=variant, image_size=image_size,
+    g = build_generator(ModelConfig(variant=variant, image_size=image_size,
                                     out_channels=3, seed=2))
     out = g.forward(rng.uniform(-1, 1, size=(1, image_size, image_size, 3)), "eval")
     assert out.shape == (1, image_size, image_size, 3)
@@ -177,8 +179,8 @@ def test_variant_b_skip_projection_flag(rng):
 
 
 def test_unet_without_skips_is_autoencoder_graph():
-    unet = build_baselines(ModelConfig(variant="unet", seed=4))
-    ae = build_baselines(ModelConfig(variant="autoencoder", seed=4))
+    unet = build_generator(ModelConfig(variant="unet", seed=4))
+    ae = build_generator(ModelConfig(variant="autoencoder", seed=4))
     u, a = unet.shape_manifest(), ae.shape_manifest()
     assert set(u) == set(a)  # identical layer structure
     ladder = [64, 128, 256, 512]
@@ -195,8 +197,8 @@ def test_unet_without_skips_is_autoencoder_graph():
 
 def test_baseline_param_count_within_2x_of_c():
     c = build_generator(ModelConfig(variant="C", seed=0)).num_parameters()
-    unet = build_baselines(ModelConfig(variant="unet", seed=0)).num_parameters()
-    ae = build_baselines(ModelConfig(variant="autoencoder", seed=0)).num_parameters()
+    unet = build_generator(ModelConfig(variant="unet", seed=0)).num_parameters()
+    ae = build_generator(ModelConfig(variant="autoencoder", seed=0)).num_parameters()
     assert c / 2 <= unet <= 2 * c
     assert c / 2 <= ae <= 2 * c
 
@@ -307,6 +309,56 @@ def test_checkpoint_same_build_identical_bytes(tmp_path):
     save_checkpoint(build_generator(tiny_config()), p1)
     save_checkpoint(build_generator(tiny_config()), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# Fixed-seed checkpoints of freshly built models (no training).  The bytes pin
+# parameter names, registration order and the RNG draw order of initialization.
+GOLDEN_INIT = {
+    "A": (lambda: tiny_config(variant="A"),
+          "7a9b0d97b9f4e37b4025a6f839dc8d1636b0ebb346103f9c6623544650169481"),
+    "B": (lambda: tiny_config(variant="B", skip_projection_channels=4,
+                              task="segmentation", out_channels=3),
+          "9100efb8f1855e45dd6386e835587698194005ded2ca0e3e4bbceeaf2cbf8a0a"),
+    "C": (lambda: tiny_config(variant="C"),
+          "30b3b35c2df9f4f1b2867bbc1a87dc76e4ccbf886742713f4fc444e463570bdc"),
+    "unet": (lambda: ModelConfig(variant="unet", image_size=16, out_channels=3, seed=7),
+             "45ae9d6b4432edc1d83550795b8fbdaebe500bc3ac9a51ebb31e073de281cbd1"),
+    "autoencoder": (lambda: ModelConfig(variant="autoencoder", image_size=16, out_channels=1,
+                                        task="regression", seed=7),
+                    "ec9e6b0625524a3ebc5efee62f05d600499e5a2054b481737f88081ea88e48f0"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_INIT))
+def test_golden_init_checkpoint_bytes(tmp_path, variant):
+    config, digest = GOLDEN_INIT[variant]
+    path = tmp_path / "init.ckpt"
+    save_checkpoint(build_generator(config()), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_checkpoint_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    import vit2img.models as models
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_generator(tiny_config()), path)
+    before = path.read_bytes()
+    pack = models._pack_record
+    calls = 0
+
+    def failing_pack(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 5:  # after the header and four records are written
+            raise OSError("disk full")
+        return pack(*args)
+
+    monkeypatch.setattr(models, "_pack_record", failing_pack)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(build_generator(tiny_config(seed=8)), path)
+    assert calls == 5
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_defaults_reproduce_published_schedule():

@@ -585,6 +585,24 @@ def test_mean_sum_gradients(rng):
     check_gradients(lambda t: T.mean(t), [x], rtol=1e-6)
 
 
+@pytest.mark.parametrize("op", [T.sum_, T.mean])
+@pytest.mark.parametrize("axis", [None, 1, -1, (0, 2)])
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_reduction_gradients(rng, op, axis, keepdims):
+    x = rng.normal(size=(2, 3, 4))
+    check_gradients(lambda t: op(t, axis=axis, keepdims=keepdims), [x], rtol=1e-6)
+
+
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_logsumexp_gradients(rng, keepdims):
+    x = rng.normal(size=(3, 4, 2))
+    check_gradients(lambda t: T.logsumexp(t, axis=1, keepdims=keepdims), [x], rtol=1e-5)
+
+
+def test_neg_gradient(rng):
+    check_gradients(T.neg, [rng.normal(size=(3, 4))], rtol=1e-6)
+
+
 def test_logsumexp_matches_direct(rng):
     x = rng.normal(scale=5, size=(4, 6))
     direct = np.log(np.exp(x).sum(axis=-1))
