@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import ConfigError, DataError, NumericError, Vit2ImgError
 from .metrics import (MetricsReport, TinyClassifier, fid, format_table,
                       inception_score, make_extractor, ssim)
 from .models import Generator, ModelConfig, build_generator, load_checkpoint
-from .training import loss_kind_for_task, train, write_train_log
+from .training import check_budget, loss_kind_for_task, train, write_train_log
 
 MODEL_KEYS = {
     "variant": str, "task": str, "image_size": int, "patch_size": int,
@@ -215,14 +216,17 @@ def _write_montage(gen: Generator, samples, path, max_rows: int = 4) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each validates every setting before it creates its run
+# directory, so a rejected invocation leaves nothing behind.
 
 
 def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.require("out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     samples, task, classes, image_size = resolve_dataset(cfg)
     mc = model_config_from(cfg, task, classes, image_size)
+    epochs, batch_size, steps = cfg.get("epochs", 1), cfg.get("batch_size", 4), cfg.get("steps")
+    check_budget(epochs, batch_size, steps)
+    out_dir.mkdir(parents=True, exist_ok=True)
     cfg.values.setdefault("image_size", mc.image_size)
     cfg.values.setdefault("out_channels", mc.out_channels)
     cfg.values["task"] = task
@@ -236,12 +240,12 @@ def cmd_train(cfg: RunConfig) -> int:
 
     gen, records = train(
         gen, samples,
-        epochs=cfg.get("epochs", 1),
-        batch_size=cfg.get("batch_size", 4),
+        epochs=epochs,
+        batch_size=batch_size,
         loss_kind=loss_kind_for_task(task),
         seed=cfg.get("seed", 0),
         checkpoint_path=out_dir / "checkpoint.ckpt",
-        max_steps=cfg.get("steps"),
+        max_steps=steps,
         stop_loss=cfg.get("stop_loss"),
         epoch_hook=epoch_hook,
     )
@@ -254,11 +258,11 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     out_dir = Path(cfg.require("out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     gen = load_checkpoint(cfg.require("checkpoint"))
     samples, task, classes, image_size = resolve_dataset(cfg)
     if task != gen.config.task:
         raise ConfigError(f"dataset task {task!r} does not match checkpoint task {gen.config.task!r}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     cfg.echo(out_dir / "config.txt")
     variant = gen.config.variant
     name = f"vit-{variant.lower()}" if variant in ("A", "B", "C") else variant
@@ -289,21 +293,22 @@ def cmd_infer(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     out_dir = Path(cfg.require("out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     samples, task, classes, image_size = resolve_dataset(cfg)
-    cfg.echo(out_dir / "config.txt")
+    mc = model_config_from(cfg, task, classes, image_size)
+    configs = {name: replace(mc, variant=variant).validated() for variant, name in
+               (("autoencoder", "autoencoder"), ("unet", "unet"), ("C", "vit-c"))}
     seed = cfg.get("seed", 0)
     epochs = cfg.get("epochs", 1)
     steps = cfg.get("steps")
     batch = cfg.get("batch_size", 4)
+    check_budget(epochs, batch, steps)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg.echo(out_dir / "config.txt")
     loss_kind = loss_kind_for_task(task)
 
     trained: dict[str, Generator] = {}
-    for variant, name in (("autoencoder", "autoencoder"), ("unet", "unet"), ("C", "vit-c")):
-        mc = model_config_from(cfg, task, classes, image_size)
-        mc.variant = variant
-        gen = build_generator(mc.validated())
-        gen, _ = train(gen, samples, epochs=epochs, batch_size=batch,
+    for name, config in configs.items():
+        gen, _ = train(build_generator(config), samples, epochs=epochs, batch_size=batch,
                        loss_kind=loss_kind, seed=seed, max_steps=steps,
                        checkpoint_path=out_dir / f"{name}.ckpt")
         trained[name] = gen
@@ -374,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="compute SSIM/FID/IS for a checkpoint")
     add_common(p_eval, model=False, budget=False)
-    p_eval.add_argument("--checkpoint", required=True)
+    p_eval.add_argument("--checkpoint", default=None)
     p_eval.add_argument("--extractor", choices=["pixel", "proj", "tiny"], default=None)
     p_eval.add_argument("--self-eval", dest="self_eval", action="store_true", default=None,
                         help="score targets against themselves (sanity mode)")
@@ -391,35 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        cfg = RunConfig(args)  # picks up --checkpoint, a config key, like every other flag
         if args.command == "infer":
-            cfg = RunConfig(args)
-            cfg.values["checkpoint"] = args.checkpoint
-            cfg.values["input"] = args.input
-            cfg.values["output"] = args.output
-            return cmd_infer(cfg)
-        cfg = RunConfig(args)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+            cfg.values.update(input=args.input, output=args.output)
+        return {"train": cmd_train, "eval": cmd_eval, "infer": cmd_infer,
+                "compare": cmd_compare}[args.command](cfg)
     except Vit2ImgError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        # The exit codes of the module docstring; any other error is a configuration error.
+        return 3 if isinstance(e, DataError) else 4 if isinstance(e, NumericError) else 2
 
 
 if __name__ == "__main__":

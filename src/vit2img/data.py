@@ -98,6 +98,8 @@ def load_image(path) -> np.ndarray:
     w, h, maxval = fields
     if maxval != 255:
         raise DecodeError(f"{path}: unsupported maxval {maxval} (only 255)")
+    if w == 0 or h == 0:
+        raise DecodeError(f"{path}: empty {w}x{h} image (header ends at byte offset {pos})")
     pos += 1  # single whitespace byte after maxval
     need = w * h * 3
     payload = blob[pos:pos + need]
@@ -348,7 +350,8 @@ def load_manifest_dataset(manifest: DatasetManifest) -> list[PairedSample]:
     for i, (inp_rel, tgt_rel) in enumerate(manifest.pairs):
         inp = load_image(manifest.root / inp_rel)
         tgt_img = load_image(manifest.root / tgt_rel)
-        if inp.shape[0] != manifest.image_size or inp.shape[:2] != tgt_img.shape[:2]:
+        size = (manifest.image_size, manifest.image_size)
+        if inp.shape[:2] != size or tgt_img.shape[:2] != size:
             raise DataError(
                 f"manifest pair {i}: sizes {inp.shape[:2]} vs {tgt_img.shape[:2]} "
                 f"do not match declared {manifest.image_size}"

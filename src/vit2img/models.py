@@ -74,6 +74,9 @@ class ModelConfig:
         if self.image_size <= 0 or self.out_channels <= 0:
             raise ConfigError("image_size and out_channels must be positive")
         if self.variant in ("A", "B", "C"):
+            if min(self.patch_size, self.embed_dim, self.num_heads) <= 0 or self.num_transformer_layers < 0:
+                raise ConfigError("patch_size, embed_dim and num_heads must be positive, "
+                                  "num_transformer_layers nonnegative")
             if self.image_size % self.patch_size != 0:
                 raise ConfigError(
                     f"image size {self.image_size} is not divisible by patch size {self.patch_size}"
@@ -367,7 +370,13 @@ def _read_records(path):
         raise CheckpointVersionError(
             f"{path}: format version {version} unsupported (expected {CHECKPOINT_VERSION})"
         )
-    header = json.loads(str(r.take(r.u32()), "utf-8"))
+    try:
+        fields = json.loads(str(r.take(r.u32()), "utf-8"))["config"]
+        if not isinstance(fields, dict):
+            raise TypeError(f"config is a {type(fields).__name__}, not an object")
+        config = ModelConfig.from_dict(fields)
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
+        raise CheckpointFormatError(f"{path}: malformed header: {type(e).__name__}: {e}") from e
     count = r.u32()
     records: dict[str, tuple[int, np.ndarray]] = {}
     for _ in range(count):
@@ -378,19 +387,16 @@ def _read_records(path):
         n = int(np.prod(shape)) if ndim else 1
         arr = np.frombuffer(r.take(8 * n), dtype="<f8").reshape(shape).copy()
         records[name] = (kind, arr)
-    return header, records
+    return config, records
 
 
-def load_checkpoint(path, expected_config: Optional[ModelConfig] = None,
-                    with_state: bool = False):
+def load_checkpoint(path, with_state: bool = False):
     """Rebuild a Generator from a checkpoint file.
 
-    When ``expected_config`` is given, the stored parameter name set must
-    match the architecture that config implies.  With ``with_state`` the
-    saved Adam state (or None) is returned alongside the generator.
+    With ``with_state`` the saved Adam state (or None) is returned alongside
+    the generator.
     """
-    header, records = _read_records(path)
-    config = ModelConfig.from_dict(header["config"])
+    config, records = _read_records(path)
     gen = Generator(config)
     file_params = {n for n, (k, _) in records.items() if k == KIND_PARAM}
     file_buffers = {n for n, (k, _) in records.items() if k == KIND_BUFFER}
@@ -403,14 +409,6 @@ def load_checkpoint(path, expected_config: Optional[ModelConfig] = None,
             f"{path}: parameter name set does not match its own config "
             f"(missing {missing[:4]}, unexpected {extra[:4]})"
         )
-    if expected_config is not None:
-        expected = Generator(expected_config.validated())
-        expected_names = {n for n, _ in expected.named_parameters()}
-        if expected_names != model_params:
-            raise CheckpointMismatchError(
-                f"{path}: checkpoint holds a {config.variant!r} model; it does not "
-                f"match the expected {expected_config.variant!r} architecture"
-            )
     for name, p in gen.named_parameters():
         kind, arr = records[name]
         if arr.shape != p.shape:

@@ -20,9 +20,9 @@ tape.
 What the tape keeps is kept small.  ``conv2d`` keeps its input and kernel
 tensors but not the im2col matrix (K*K times the input): its backward
 rebuilds the matrix from the input for the dW GEMM, then overwrites it with
-the patch gradients of the dx GEMM.  Train-mode ``batch_norm`` is one node
-that keeps the normalized input and the per-channel inverse deviation, with
-a closed-form backward.
+the patch gradients of the dx GEMM.  ``layer_norm`` and both ``batch_norm``
+modes share one kernel: one node keeping the normalized input and the
+per-statistic inverse deviation, with one closed-form backward.
 
 A recording graph is confined to one thread.  Tensors themselves are
 immutable after construction except for grad accumulation, so finished
@@ -352,11 +352,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = a.size
-    else:
-        ax = (axis,) if isinstance(axis, int) else axis
-        count = int(np.prod([a.shape[i] for i in ax]))
+    count = a.size // max(out.size, 1)  # elements per mean
     return _make(out, (a,), lambda g: (_unreduce(g / count, a.shape, axis, keepdims).copy(),))
 
 
@@ -407,72 +403,76 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
                  lambda g: (_unreduce(g, a.shape, axis, keepdims) * soft,))
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to mean 0 / variance 1, then apply gamma, beta."""
+def _affine_args(op: str, x, gamma, beta) -> tuple[Tensor, Tensor, Tensor]:
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
         raise DimensionError(
-            f"layer_norm: gamma/beta {gamma.shape}/{beta.shape} do not match last axis of {x.shape}"
+            f"{op}: gamma/beta {gamma.shape}/{beta.shape} do not match the last axis of {x.shape}"
         )
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gamma), beta)
+    return x, gamma, beta
+
+
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, centered: np.ndarray,
+               var: np.ndarray, eps: float, axes) -> Tensor:
+    """The one normalization kernel: ``gamma * centered * inv + beta``, one tape
+    node keeping ``xhat = centered * inv`` (in place) and ``inv = (var + eps) ** -0.5``.
+
+    ``centered`` and ``var`` are statistics over ``axes``, or fixed ones when
+    ``axes`` is None.  Backward: ``dx = inv * (dxhat - mean(dxhat) - xhat *
+    mean(dxhat * xhat))``, ``dxhat = g * gamma``, means over ``axes`` (0 if fixed).
+    """
+    inv = (var + eps) ** -0.5
+    xhat = np.multiply(centered, inv, out=centered)
+    out = xhat * gamma.data + beta.data
+    lead = tuple(range(xhat.ndim - 1))  # the axes gamma and beta are broadcast over
+
+    def grad(g):
+        dbeta = g.sum(axis=lead)
+        dgamma = (g * xhat).sum(axis=lead)
+        if axes == lead:
+            # gamma is constant over the statistic axes, so the two means are
+            # gamma * dbeta / M and gamma * dgamma / M; scale by gamma last.
+            count = xhat.size // xhat.shape[-1]
+            d, m1, m2, scale = g, dbeta / count, dgamma / count, gamma.data * inv
+        else:
+            d, m1, m2, scale = g * gamma.data, 0.0, 0.0, inv
+            if axes is not None:
+                m1, m2 = d.mean(axis=axes, keepdims=True), (d * xhat).mean(axis=axes, keepdims=True)
+        dx = xhat * m2
+        np.subtract(d, dx, out=dx)
+        dx -= m1
+        dx *= scale
+        return dx, dgamma, dbeta
+
+    return _make(out, (x, gamma, beta), grad)
+
+
+def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
+    """Normalize the last axis to mean 0 / variance 1, then apply gamma, beta."""
+    x, gamma, beta = _affine_args("layer_norm", x, gamma, beta)
+    axes = (x.data.ndim - 1,)
+    centered = x.data - x.data.mean(axis=axes, keepdims=True)
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    return _normalize(x, gamma, beta, centered, var, eps, axes)
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, mode: str,
                eps: float = 1e-5, momentum: float = 0.99):
-    """Normalize per channel (last axis) over all other axes.
-
-    Train mode uses batch statistics and updates the running arrays in place
-    via an exponential moving average; eval mode normalizes with the stored
-    running statistics.  Returns the normalized tensor.
-
-    Train mode is one tape node that keeps only ``xhat`` and the per-channel
-    ``inv``; its backward is the closed form
-    ``dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))`` with
-    ``dxhat = g * gamma``, ``dgamma = sum(g * xhat)`` and ``dbeta = sum(g)``.
-    """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise DimensionError(
-            f"batch_norm: gamma/beta {gamma.shape}/{beta.shape} do not match channel axis of {x.shape}"
-        )
-    if mode == "train":
-        axes = tuple(range(x.data.ndim - 1))
-        mu = x.data.mean(axis=axes, keepdims=True)
-        centered = x.data - mu
-        var = (centered * centered).mean(axis=axes, keepdims=True)
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mu.reshape(c)
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var.reshape(c)
-        inv = (var + eps) ** -0.5
-        xhat = centered * inv
-        del centered
-        out = xhat * gamma.data + beta.data
-
-        count = x.size // c
-
-        def grad(g):
-            # With dxhat = g * gamma: mean(dxhat) = gamma * dbeta / count and
-            # mean(dxhat * xhat) = gamma * dgamma / count.
-            dbeta = g.sum(axis=axes)
-            dgamma = (g * xhat).sum(axis=axes)
-            dx = xhat * (dgamma / count)
-            np.subtract(g, dx, out=dx)
-            dx -= dbeta / count
-            dx *= gamma.data * inv
-            return dx, dgamma, dbeta
-
-        return _make(out, (x, gamma, beta), grad)
-    if mode != "eval":
+    """Normalize per channel (last axis) over all other axes: with the batch
+    statistics in train mode, which also updates the running arrays in place
+    by an exponential moving average, and with the running ones in eval mode."""
+    x, gamma, beta = _affine_args("batch_norm", x, gamma, beta)
+    if mode == "eval":
+        return _normalize(x, gamma, beta, x.data - running_mean, running_var, eps, None)
+    if mode != "train":
         raise ContractError(f"batch_norm: mode must be 'train' or 'eval', got {mode!r}")
-    inv = 1.0 / np.sqrt(running_var + eps)
-    xhat = mul(sub(x, Tensor(running_mean)), Tensor(inv))
-    return add(mul(xhat, gamma), beta)
+    axes = tuple(range(x.data.ndim - 1))
+    mu = x.data.mean(axis=axes, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    running_mean[...] = momentum * running_mean + (1.0 - momentum) * mu.reshape(-1)
+    running_var[...] = momentum * running_var + (1.0 - momentum) * var.reshape(-1)
+    return _normalize(x, gamma, beta, centered, var, eps, axes)
 
 
 # ---------------------------------------------------------------------------

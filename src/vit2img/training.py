@@ -131,6 +131,13 @@ def loss_kind_for_task(task: str) -> str:
     return "scc" if task == "segmentation" else "mae"
 
 
+def check_budget(epochs: int, batch_size: int, max_steps: Optional[int] = None) -> None:
+    """Raise ContractError unless every budget (``max_steps`` if given) is >= 1."""
+    for name, value in (("epochs", epochs), ("batch_size", batch_size), ("max_steps", max_steps)):
+        if value is not None and value < 1:
+            raise ContractError(f"train: {name} must be >= 1, got {value}")
+
+
 def train(gen: Generator, dataset, epochs: int, batch_size: int, loss_kind: str,
           seed: int, checkpoint_path=None, max_steps: Optional[int] = None,
           stop_loss: Optional[float] = None,
@@ -143,18 +150,15 @@ def train(gen: Generator, dataset, epochs: int, batch_size: int, loss_kind: str,
     Training aborts with NumericError (naming the batch) if the loss goes
     non-finite.  A checkpoint is written at the end when ``checkpoint_path``
     is given.  ``max_steps`` caps the number of optimizer steps;
-    ``stop_loss`` stops once the batch loss falls below it.  ``epochs``,
-    ``batch_size`` and a given ``max_steps`` must be >= 1 (ContractError
-    otherwise).
+    ``stop_loss`` stops once the batch loss falls below it.  The budget must
+    pass ``check_budget``.
 
     Each step's graph is dropped right after its backward, so at most one
     tape is alive at a time.
     """
     if not dataset:
         raise DataError("train: dataset is empty")
-    for name, value in (("epochs", epochs), ("batch_size", batch_size), ("max_steps", max_steps)):
-        if value is not None and value < 1:
-            raise ContractError(f"train: {name} must be >= 1, got {value}")
+    check_budget(epochs, batch_size, max_steps)
     task = gen.config.task
     if (task == "segmentation") != (loss_kind == "scc"):
         raise ContractError(f"loss kind {loss_kind!r} does not fit task {task!r}")

@@ -1,12 +1,32 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from vit2img.cli import main, parse_config_file, parse_synthetic_spec
-from vit2img.data import PALETTE, float_to_byte, load_image, save_image
-from vit2img.errors import ConfigError
+from vit2img.data import (PALETTE, DatasetManifest, float_to_byte, load_image,
+                          load_manifest_dataset, read_manifest, save_image,
+                          write_manifest)
+from vit2img.errors import (CheckpointFormatError, ConfigError, DataError,
+                            DecodeError)
+from vit2img.models import (ModelConfig, build_generator, load_checkpoint,
+                            save_checkpoint)
 
 TINY_MODEL = ["--image-size", "16", "--patch-size", "4", "--embed-dim", "8",
               "--num-heads", "2", "--ffn-width", "8", "--num-layers", "1"]
+
+
+@pytest.fixture
+def tiny_checkpoint(tmp_path):
+    """An untrained checkpoint of the TINY_MODEL segmentation generator."""
+    config = ModelConfig(variant="C", image_size=16, patch_size=4, embed_dim=8,
+                         num_heads=2, ffn_width=8, num_transformer_layers=1,
+                         out_channels=3, task="segmentation")
+    path = tmp_path / "tiny.ckpt"
+    save_checkpoint(build_generator(config), path)
+    return path
 
 
 def run_train(tmp_path, name="run", extra=None, steps="3", synthetic="shapes:n=4,size=16"):
@@ -127,6 +147,38 @@ def test_missing_dataset_exit_2(tmp_path):
     assert rc == 2
 
 
+SHAPES = ["--synthetic", "shapes:n=2,size=16"]
+REJECTED = [
+    ("train-epochs-0", ["train", *SHAPES, *TINY_MODEL, "--epochs", "0"], 2),
+    ("train-batch-size-0", ["train", *SHAPES, *TINY_MODEL, "--batch-size", "0"], 2),
+    ("train-steps-0", ["train", *SHAPES, *TINY_MODEL, "--steps", "0"], 2),
+    ("train-bogus-synthetic", ["train", "--synthetic", "bogus", *TINY_MODEL], 2),
+    ("train-no-dataset", ["train", *TINY_MODEL], 2),
+    ("train-patch-size-5", ["train", *SHAPES, *TINY_MODEL, "--patch-size", "5"], 2),
+    ("train-patch-size-0", ["train", *SHAPES, *TINY_MODEL, "--patch-size", "0"], 2),
+    ("train-num-heads-0", ["train", *SHAPES, *TINY_MODEL, "--num-heads", "0"], 2),
+    ("train-embed-dim-0", ["train", *SHAPES, *TINY_MODEL, "--embed-dim", "0"], 2),
+    ("train-num-layers--1", ["train", *SHAPES, *TINY_MODEL, "--num-layers", "-1"], 2),
+    ("train-missing-manifest", ["train", "--manifest", "{tmp}/none.manifest", *TINY_MODEL], 3),
+    ("eval-missing-checkpoint", ["eval", "--checkpoint", "{tmp}/none.ckpt", *SHAPES], 3),
+    ("eval-task-mismatch", ["eval", "--checkpoint", "{ckpt}", "--synthetic", "depth:n=2,size=16"], 2),
+    ("eval-bogus-synthetic", ["eval", "--checkpoint", "{ckpt}", "--synthetic", "bogus"], 2),
+    ("compare-epochs-0", ["compare", *SHAPES, *TINY_MODEL, "--epochs", "0"], 2),
+    ("compare-bogus-synthetic", ["compare", "--synthetic", "bogus", *TINY_MODEL], 2),
+    ("compare-patch-size-5", ["compare", *SHAPES, *TINY_MODEL, "--patch-size", "5"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", [case[1:] for case in REJECTED],
+                         ids=[case[0] for case in REJECTED])
+def test_rejected_invocation_leaves_no_run_directory(tmp_path, tiny_checkpoint, capsys, argv, code):
+    out = tmp_path / "run"
+    argv = [a.format(tmp=tmp_path, ckpt=tiny_checkpoint) for a in argv]
+    assert main([*argv, "--out", str(out)]) == code
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- eval --------------------------------------------------------------------------
 
 def test_eval_self_mode_perfect_scores(tmp_path):
@@ -167,6 +219,20 @@ def test_eval_self_eval_echo_round_trip(tmp_path, capsys):
                    "--out", str(tmp_path / "bad")])
         assert rc == 2
         assert "self_eval" in capsys.readouterr().err
+
+
+def test_eval_echo_feeds_back_without_checkpoint_flag(tmp_path, capsys):
+    ckpt = str(run_train(tmp_path) / "checkpoint.ckpt")
+    first, again = tmp_path / "e1", tmp_path / "e2"
+    assert main(["eval", "--checkpoint", ckpt, "--synthetic", "shapes:n=4,size=16",
+                 "--seed", "5", "--out", str(first)]) == 0
+    assert main(["eval", "--config", str(first / "config.txt"), "--out", str(again)]) == 0
+    assert (again / "metrics.kv").read_bytes() == (first / "metrics.kv").read_bytes()
+    capsys.readouterr()
+    missing = tmp_path / "e3"
+    assert main(["eval", "--synthetic", "shapes:n=4,size=16", "--out", str(missing)]) == 2
+    assert "missing required setting 'checkpoint'" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 def test_eval_report_columns(tmp_path):
@@ -251,6 +317,74 @@ def test_infer_wrong_size_exit_3(tmp_path):
     rc = main(["infer", "--checkpoint", str(out / "checkpoint.ckpt"),
                "--input", str(inp), "--output", str(tmp_path / "o.ppm")])
     assert rc == 3
+
+
+# --- malformed files ---------------------------------------------------------------
+
+def with_header(tmp_path, source, header: bytes):
+    """Copy checkpoint ``source`` with its JSON header replaced and a valid CRC."""
+    blob = source.read_bytes()
+    (n,) = struct.unpack("<I", blob[8:12])
+    body = blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + n:-4]
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return path
+
+
+def bad_checkpoint(header: bytes):
+    def make(tmp_path, ckpt):
+        path = with_header(tmp_path, ckpt, header)
+        return lambda: load_checkpoint(path), ["eval", "--checkpoint", str(path), *SHAPES,
+                                               "--out", str(tmp_path / "run")]
+    return make
+
+
+def unknown_config_key(tmp_path, ckpt):
+    blob = ckpt.read_bytes()
+    (n,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + n])
+    header["config"]["bogus"] = 1
+    return bad_checkpoint(json.dumps(header).encode())(tmp_path, ckpt)
+
+
+def empty_ppm(tmp_path, ckpt):
+    path = tmp_path / "empty.ppm"
+    path.write_bytes(b"P6\n0 0\n255\n")
+    return lambda: load_image(path), ["infer", "--checkpoint", str(ckpt), "--input", str(path),
+                                       "--output", str(tmp_path / "o.ppm")]
+
+
+def non_square_manifest(tmp_path, ckpt):
+    save_image(np.zeros((16, 8, 3)), tmp_path / "in.ppm")
+    save_image(np.full((16, 8, 3), -1.0), tmp_path / "tgt.ppm")  # class 0 everywhere
+    path = tmp_path / "data.manifest"
+    write_manifest(DatasetManifest(root=tmp_path, task="segmentation", classes=3,
+                                   image_size=16, pairs=[("in.ppm", "tgt.ppm")]), path)
+    return (lambda: load_manifest_dataset(read_manifest(path)),
+            ["train", "--manifest", str(path), *TINY_MODEL, "--out", str(tmp_path / "run")])
+
+
+MALFORMED = [
+    ("header-not-utf8", bad_checkpoint(b"\xff\xfe{}"), CheckpointFormatError),
+    ("header-bad-json", bad_checkpoint(b"{not json"), CheckpointFormatError),
+    ("header-no-config", bad_checkpoint(b'{"seed": 0}'), CheckpointFormatError),
+    ("header-config-list", bad_checkpoint(b'{"config": [["variant", "C"]]}'), CheckpointFormatError),
+    ("header-config-string", bad_checkpoint(b'{"config": "C"}'), CheckpointFormatError),
+    ("header-not-object", bad_checkpoint(b'["config"]'), CheckpointFormatError),
+    ("header-unknown-config-key", unknown_config_key, CheckpointFormatError),
+    ("ppm-0x0", empty_ppm, DecodeError),
+    ("manifest-16x8-pair", non_square_manifest, DataError),
+]
+
+
+@pytest.mark.parametrize("make, error", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_file_typed_error_exit_3(tmp_path, tiny_checkpoint, capsys, make, error):
+    load, argv = make(tmp_path, tiny_checkpoint)
+    with pytest.raises(error):
+        load()
+    assert main(argv) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 # --- compare -----------------------------------------------------------------------

@@ -207,6 +207,29 @@ def test_batch_norm_train_gradient(rng):
     check_gradients(op, [x, gamma, beta], rtol=1e-4)
 
 
+def test_batch_norm_eval_gradient(rng):
+    x = rng.normal(size=(3, 2, 2, 2))
+    gamma = rng.normal(size=2)
+    beta = rng.normal(size=2)
+    rm, rv = np.array([0.3, -1.2]), np.array([0.5, 2.5])
+
+    def op(xt, gt, bt):
+        return T.batch_norm(xt, gt, bt, rm, rv, "eval")
+
+    check_gradients(op, [x, gamma, beta], rtol=1e-4)
+
+
+# --- normalization oracles: the composite graphs the one fused kernel replaced ----
+
+def composite_layer_norm(x, gamma, beta, eps=1e-6):
+    """Layer norm as a graph of elementwise ops and means."""
+    mu = T.mean(x, axis=-1, keepdims=True)
+    centered = T.sub(x, mu)
+    var = T.mean(T.mul(centered, centered), axis=-1, keepdims=True)
+    inv = T.power(T.add(var, eps), -0.5)
+    return T.add(T.mul(T.mul(centered, inv), gamma), beta)
+
+
 def composite_batch_norm_train(x, gamma, beta, running_mean, running_var,
                                eps=1e-5, momentum=0.99):
     """Train-mode batch norm as a graph of elementwise ops and means."""
@@ -221,6 +244,46 @@ def composite_batch_norm_train(x, gamma, beta, running_mean, running_var,
     running_var += (1.0 - momentum) * var.data.reshape(c)
     inv = T.power(T.add(var, eps), -0.5)
     return T.add(T.mul(T.mul(centered, inv), gamma), beta)
+
+
+def composite_batch_norm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5):
+    """Eval-mode batch norm as a graph of elementwise ops on the running stats."""
+    inv = 1.0 / np.sqrt(running_var + eps)
+    return T.add(T.mul(T.mul(T.sub(x, Tensor(running_mean)), Tensor(inv)), gamma), beta)
+
+
+def run_with_probe(fn, probe, *arrays):
+    """fn's output and the grads of sum(fn(...) * probe) w.r.t. ``arrays``."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*tensors)
+    T.backward(T.sum_(T.mul(out, Tensor(probe))))
+    return out.data, [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 5), (4, 16, 64)])
+def test_layer_norm_matches_composite(rng, shape):
+    x = rng.normal(loc=0.5, scale=3.0, size=shape)
+    gamma = rng.normal(size=shape[-1])
+    beta = rng.normal(size=shape[-1])
+    probe = rng.normal(size=shape)
+    fused_out, fused_grads = run_with_probe(T.layer_norm, probe, x, gamma, beta)
+    want_out, want_grads = run_with_probe(composite_layer_norm, probe, x, gamma, beta)
+    np.testing.assert_array_equal(fused_out, want_out)
+    for got, want in zip(fused_grads, want_grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2, 2), (4, 5, 3, 6), (7, 4)])
+def test_batch_norm_eval_matches_composite(rng, shape):
+    x = rng.normal(loc=0.5, scale=3.0, size=shape)
+    gamma = rng.normal(size=shape[-1])
+    beta = rng.normal(size=shape[-1])
+    rm, rv = rng.normal(size=shape[-1]), rng.uniform(0.1, 4.0, size=shape[-1])
+    probe = rng.normal(size=shape)
+    fused = run_with_probe(lambda *a: T.batch_norm(*a, rm, rv, "eval"), probe, x, gamma, beta)
+    want = run_with_probe(lambda *a: composite_batch_norm_eval(*a, rm, rv), probe, x, gamma, beta)
+    for got, expected in zip([fused[0], *fused[1]], [want[0], *want[1]]):
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 2, 2), (4, 5, 3, 6), (7, 4)])
@@ -243,10 +306,16 @@ def test_batch_norm_train_matches_composite(rng, shape):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_batch_norm_train_is_one_tape_node(rng):
+@pytest.mark.parametrize("norm", [
+    T.layer_norm,
+    lambda x, g, b: T.batch_norm(x, g, b, np.zeros(4), np.ones(4), "train"),
+    lambda x, g, b: T.batch_norm(x, g, b, np.zeros(4), np.ones(4), "eval"),
+], ids=["layer_norm", "batch_norm_train", "batch_norm_eval"])
+def test_normalization_is_one_tape_node(rng, norm):
     x = Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True)
-    out = T.batch_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), np.zeros(4), np.ones(4), "train")
-    assert out._parents[0] is x
+    gamma, beta = Tensor(np.ones(4)), Tensor(np.zeros(4))
+    out = norm(x, gamma, beta)
+    assert out._parents == (x, gamma, beta)
 
 
 # --- conv2d ---------------------------------------------------------------------
