@@ -74,8 +74,9 @@ class ModelConfig:
         if self.image_size <= 0 or self.out_channels <= 0:
             raise ConfigError("image_size and out_channels must be positive")
         if self.variant in ("A", "B", "C"):
-            if min(self.patch_size, self.embed_dim, self.num_heads) <= 0 or self.num_transformer_layers < 0:
-                raise ConfigError("patch_size, embed_dim and num_heads must be positive, "
+            if min(self.patch_size, self.embed_dim, self.num_heads, self.ffn_width) <= 0 \
+                    or self.num_transformer_layers < 0:
+                raise ConfigError("patch_size, embed_dim, num_heads and ffn_width must be positive, "
                                   "num_transformer_layers nonnegative")
             if self.image_size % self.patch_size != 0:
                 raise ConfigError(
@@ -375,7 +376,7 @@ def _read_records(path):
         if not isinstance(fields, dict):
             raise TypeError(f"config is a {type(fields).__name__}, not an object")
         config = ModelConfig.from_dict(fields)
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ConfigError) as e:
         raise CheckpointFormatError(f"{path}: malformed header: {type(e).__name__}: {e}") from e
     count = r.u32()
     records: dict[str, tuple[int, np.ndarray]] = {}

@@ -18,11 +18,17 @@ graph may be walked twice; a training loop drops its loss right after
 tape.
 
 What the tape keeps is kept small.  ``conv2d`` keeps its input and kernel
-tensors but not the im2col matrix (K*K times the input): its backward
-rebuilds the matrix from the input for the dW GEMM, then overwrites it with
-the patch gradients of the dx GEMM.  ``layer_norm`` and both ``batch_norm``
-modes share one kernel: one node keeping the normalized input and the
-per-statistic inverse deviation, with one closed-form backward.
+tensors but no patch matrix.  At stride 1, when the padded grid has at most
+10% more pixels than the output ((Ho+K-1)*(Wo+K-1) <= 1.1*Ho*Wo, a property
+of the shape), it correlates by shifted GEMMs over one flat padded buffer
+(``_correlate``): no K*K copy exists, and its backward rebuilds the buffer
+for dW and runs ``_correlate`` on the gradient for dx.  Elsewhere it uses
+im2col (K*K times the input), and its backward rebuilds the matrix for the
+dW GEMM, then overwrites it with the patch gradients of the dx GEMM.
+``relu`` and ``leaky_relu`` keep a 1-byte mask of the positive inputs, not
+the 8-byte input.  ``layer_norm`` and both ``batch_norm`` modes share one
+kernel: one node keeping the normalized input and the per-statistic inverse
+deviation, with one closed-form backward.
 
 A recording graph is confined to one thread.  Tensors themselves are
 immutable after construction except for grad accumulation, so finished
@@ -279,17 +285,15 @@ def tanh(a) -> Tensor:
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out = np.maximum(a.data, 0.0)
-    return _make(out, (a,), lambda g: (g * (a.data > 0.0),))
+    mask = a.data > 0.0
+    return _make(out, (a,), lambda g: (g * mask,))
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
     a = as_tensor(a)
-    out = np.where(a.data > 0.0, a.data, slope * a.data)
-
-    def grad(g):
-        return (g * np.where(a.data > 0.0, 1.0, slope),)
-
-    return _make(out, (a,), grad)
+    mask = a.data > 0.0
+    out = np.where(mask, a.data, slope * a.data)
+    return _make(out, (a,), lambda g: (np.where(mask, g, slope * g),))
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +531,42 @@ def _col2im(cols: np.ndarray, xpad_shape, stride: int) -> np.ndarray:
     return out
 
 
+def _flat_pad(x: np.ndarray, pads, k: int):
+    """Zero-pad NHWC ``x`` by ``pads = (top, bottom, left, right)`` into one
+    flat [N*Hp*Wp + (K-1)*(Wp+1), C] buffer; the zero tail lets every K x K
+    tap read N*Hp*Wp rows from its offset.  Returns the buffer, Hp and Wp."""
+    n, h, wd, c = x.shape
+    pt, pb, pl, pr = pads
+    hp, wp = h + pt + pb, wd + pl + pr
+    flat = np.zeros((n * hp * wp + (k - 1) * (wp + 1), c))
+    flat[:n * hp * wp].reshape(n, hp, wp, c)[:, pt:pt + h, pl:pl + wd] = x
+    return flat, hp, wp
+
+
+def _correlate(x: np.ndarray, w: np.ndarray, pads) -> np.ndarray:
+    """Stride-1 cross-correlation of NHWC ``x``, zero-padded by ``pads``, with a
+    [K, K, Cin, Cout] kernel, by shifted GEMMs (the accumulating kn2row scheme,
+    Vasudevan et al. 2017, arXiv 1704.04428).
+
+    Output pixel (i, j) of the padded Hp x Wp grid is row ``i*Wp + j`` of
+    ``sum over (ki, kj) of flat[ki*Wp + kj:][:N*Hp*Wp] @ w[ki, kj]``: each tap is
+    a GEMM over a contiguous row-shifted view of the flat buffer, so no K*K
+    patch matrix exists.  The rows beyond the valid Ho x Wo are cropped.
+    """
+    n = x.shape[0]
+    k, _, _, cout = w.shape
+    flat, hp, wp = _flat_pad(x, pads, k)
+    rows = n * hp * wp
+    acc = np.matmul(flat[:rows], w[0, 0])
+    part = np.empty_like(acc)
+    for ki in range(k):
+        for kj in range(k):
+            if ki or kj:
+                off = ki * wp + kj
+                acc += np.matmul(flat[off:off + rows], w[ki, kj], out=part)
+    return np.ascontiguousarray(acc.reshape(n, hp, wp, cout)[:, :hp - k + 1, :wp - k + 1])
+
+
 def conv2d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     """2-D cross-correlation over NHWC input with a [K, K, Cin, Cout] kernel."""
     x, w = as_tensor(x), as_tensor(w)
@@ -541,6 +581,10 @@ def conv2d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
         raise DimensionError(f"conv2d: bias {b.shape} does not match {cout} output channels")
 
     ho, wo, pt, pb, pl, pr = _conv_geometry(h, wd, k, stride, padding)
+    pads = (pt, pb, pl, pr)
+    # Shifted GEMMs compute every row of the padded grid and keep ho*wo of
+    # them; past 10% waste, im2col's one large GEMM is the faster kernel.
+    shifted = stride == 1 and (ho + k - 1) * (wo + k - 1) <= 1.1 * ho * wo
 
     def patches():
         # The im2col matrix is K*K times the input, so it is rebuilt in
@@ -548,13 +592,32 @@ def conv2d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
         xpad = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
         return _im2col(xpad, k, stride, ho, wo).reshape(n * ho * wo, k * k * cin)
 
-    out = patches() @ w.data.reshape(k * k * cin, cout)
+    if shifted:
+        out = _correlate(x.data, w.data, pads)
+    else:
+        out = (patches() @ w.data.reshape(k * k * cin, cout)).reshape(n, ho, wo, cout)
     if b is not None:
         out += b.data
-    out = out.reshape(n, ho, wo, cout)
 
     def grad(g):
         g2 = g.reshape(n * ho * wo, cout)
+        db = g2.sum(axis=0) if b is not None else None
+        if shifted:
+            flat, hp, wp = _flat_pad(x.data, pads, k)
+            rows = n * hp * wp
+            # g on the padded grid, zero on the rows the forward cropped away.
+            g_wide = np.zeros((n, hp, wp, cout))
+            g_wide[:, :ho, :wo] = g
+            g_wide = g_wide.reshape(rows, cout)
+            dw = np.empty(w.shape)
+            for ki in range(k):
+                for kj in range(k):
+                    off = ki * wp + kj
+                    np.matmul(flat[off:off + rows].T, g_wide, out=dw[ki, kj])
+            del flat, g_wide
+            # dx is the full correlation of g with the flipped, transposed kernel.
+            back = (k - 1 - pt, k - 1 - pb, k - 1 - pl, k - 1 - pr)
+            return _correlate(g, w.data[::-1, ::-1].swapaxes(2, 3), back), dw, db
         cols = patches()
         dw = (cols.T @ g2).reshape(w.shape)
         # The patch gradients reuse the patch buffer: one K*K-sized array at a time.
@@ -562,7 +625,6 @@ def conv2d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
         dcols = dcols.reshape(n, ho, wo, k, k, cin)
         dxpad = _col2im(dcols, (n, h + pt + pb, wd + pl + pr, cin), stride)
         dx = dxpad[:, pt:pt + h, pl:pl + wd, :]
-        db = g2.sum(axis=0) if b is not None else None
         return np.ascontiguousarray(dx), dw, db
 
     parents = (x, w) if b is None else (x, w, b)

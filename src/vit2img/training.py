@@ -18,6 +18,9 @@ ADAM_LR = 2e-4
 ADAM_BETA1 = 0.5
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per pass of adam_step: a chunk of its five arrays (1.25 MiB) stays
+# in cache between the update's passes.
+ADAM_CHUNK = 32768
 
 
 def sparse_categorical_crossentropy(logits, labels) -> Tensor:
@@ -65,37 +68,54 @@ class AdamState:
         self.eps = eps
         self.t = 0
         self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # adam_step's one temporary, a chunk long; never saved.
+        self.scratch = np.empty(ADAM_CHUNK)
 
     def as_dict(self) -> dict:
         return {"t": self.t, "moments": self.moments}
 
 
 def adam_step(named_params: list[tuple[str, Tensor]], state: AdamState) -> None:
-    """One Adam update over all parameters; grads must be populated."""
+    """One Adam update over all parameters; grads must be populated.
+
+    Uses the reordered update of Kingma & Ba 2015 (arXiv 1412.6980, §2, after
+    Algorithm 1): ``p -= a_t * m / (sqrt(v) + eps_t)`` with
+    ``a_t = lr * sqrt(1 - beta2**t) / (1 - beta1**t)`` and
+    ``eps_t = eps * sqrt(1 - beta2**t)``, which equals the bias-corrected
+    ``lr * m_hat / (sqrt(v_hat) + eps)`` without the m_hat/v_hat arrays.  The
+    moments are updated bit for bit as ``m = beta1*m + (1-beta1)*g`` and
+    ``v = beta2*v + (1-beta2)*g*g``.  Each parameter is walked in chunks of
+    ``ADAM_CHUNK`` elements, so the update's passes run in cache and its only
+    temporary is ``state.scratch``.
+    """
     for name, p in named_params:
         if p.grad is None:
             raise ContractError(f"adam_step: parameter {name!r} has no gradient")
     state.t += 1
     t = state.t
-    correct1 = 1.0 - state.beta1 ** t
-    correct2 = 1.0 - state.beta2 ** t
+    root2 = np.sqrt(1.0 - state.beta2 ** t)
+    step_size = state.lr * root2 / (1.0 - state.beta1 ** t)
+    eps = state.eps * root2
     for name, p in named_params:
         if name not in state.moments:
             state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
-        m, v = state.moments[name]
-        g = p.grad
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        # p -= lr * m_hat / (sqrt(v_hat) + eps), reusing two scratch arrays
-        m_hat = m / correct1
-        v_hat = v / correct2
-        np.sqrt(v_hat, out=v_hat)
-        v_hat += state.eps
-        np.divide(m_hat, v_hat, out=m_hat)
-        m_hat *= state.lr
-        p.data -= m_hat
+        # Tensor data and the moments are C-contiguous, so these flat arrays
+        # are views that the in-place updates below write through.
+        flat = [a.reshape(-1) for a in (p.data, p.grad, *state.moments[name])]
+        for i in range(0, p.size, ADAM_CHUNK):
+            pc, g, m, v = (a[i:i + ADAM_CHUNK] for a in flat)
+            s = state.scratch[:g.size]
+            m *= state.beta1
+            m += np.multiply(g, 1.0 - state.beta1, out=s)
+            np.multiply(g, g, out=s)
+            s *= 1.0 - state.beta2
+            v *= state.beta2
+            v += s
+            np.sqrt(v, out=s)
+            s += eps
+            np.divide(m, s, out=s)
+            s *= step_size
+            pc -= s
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import zlib
 
@@ -159,6 +160,7 @@ REJECTED = [
     ("train-num-heads-0", ["train", *SHAPES, *TINY_MODEL, "--num-heads", "0"], 2),
     ("train-embed-dim-0", ["train", *SHAPES, *TINY_MODEL, "--embed-dim", "0"], 2),
     ("train-num-layers--1", ["train", *SHAPES, *TINY_MODEL, "--num-layers", "-1"], 2),
+    ("train-ffn-width-0", ["train", *SHAPES, *TINY_MODEL, "--ffn-width", "0"], 2),
     ("train-missing-manifest", ["train", "--manifest", "{tmp}/none.manifest", *TINY_MODEL], 3),
     ("eval-missing-checkpoint", ["eval", "--checkpoint", "{tmp}/none.ckpt", *SHAPES], 3),
     ("eval-task-mismatch", ["eval", "--checkpoint", "{ckpt}", "--synthetic", "depth:n=2,size=16"], 2),
@@ -339,12 +341,15 @@ def bad_checkpoint(header: bytes):
     return make
 
 
-def unknown_config_key(tmp_path, ckpt):
-    blob = ckpt.read_bytes()
-    (n,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12:12 + n])
-    header["config"]["bogus"] = 1
-    return bad_checkpoint(json.dumps(header).encode())(tmp_path, ckpt)
+def config_with(**fields):
+    """A copy of the checkpoint whose header config has ``fields`` set."""
+    def make(tmp_path, ckpt):
+        blob = ckpt.read_bytes()
+        (n,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + n])
+        header["config"].update(fields)
+        return bad_checkpoint(json.dumps(header).encode())(tmp_path, ckpt)
+    return make
 
 
 def empty_ppm(tmp_path, ckpt):
@@ -371,7 +376,8 @@ MALFORMED = [
     ("header-config-list", bad_checkpoint(b'{"config": [["variant", "C"]]}'), CheckpointFormatError),
     ("header-config-string", bad_checkpoint(b'{"config": "C"}'), CheckpointFormatError),
     ("header-not-object", bad_checkpoint(b'["config"]'), CheckpointFormatError),
-    ("header-unknown-config-key", unknown_config_key, CheckpointFormatError),
+    ("header-unknown-config-key", config_with(bogus=1), CheckpointFormatError),
+    ("header-variant-z", config_with(variant="Z"), CheckpointFormatError),
     ("ppm-0x0", empty_ppm, DecodeError),
     ("manifest-16x8-pair", non_square_manifest, DataError),
 ]
@@ -385,6 +391,12 @@ def test_malformed_file_typed_error_exit_3(tmp_path, tiny_checkpoint, capsys, ma
         load()
     assert main(argv) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_invalid_header_config_names_the_file(tmp_path, tiny_checkpoint):
+    load, _ = config_with(variant="Z")(tmp_path, tiny_checkpoint)
+    with pytest.raises(CheckpointFormatError, match=re.escape(str(tmp_path / "bad.ckpt"))):
+        load()
 
 
 # --- compare -----------------------------------------------------------------------

@@ -411,6 +411,60 @@ def test_conv2d_gradients_match_explicit_cols(rng, stride, padding, k):
     np.testing.assert_array_equal(bt.grad, db)
 
 
+def shifted_path(ho, wo, k):
+    """conv2d's rule for the stride-1 shifted-GEMM path: at most 10% of the
+    padded grid's rows are computed and cropped away."""
+    return (ho + k - 1) * (wo + k - 1) <= 1.1 * ho * wo
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    np.testing.assert_allclose(got, want, rtol=0, atol=rel * np.abs(want).max())
+
+
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("k,size", [
+    pytest.param(k, size, id=f"k{k}-{size[0]}x{size[1]}")
+    for k, size in [(2, (48, 48)), (2, (47, 45)), (3, (48, 48)), (3, (47, 45)), (4, (68, 68)), (4, (67, 69))]
+])
+def test_conv2d_shifted_path_matches_explicit_cols(rng, monkeypatch, k, size, padding):
+    def no_im2col(*args):
+        raise AssertionError("a shifted-path shape reached im2col")
+
+    monkeypatch.setattr(T, "_im2col", no_im2col)
+    x = rng.normal(size=(2, *size, 2))
+    w = rng.normal(size=(k, k, 2, 3))
+    b = rng.normal(size=3)
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = T.conv2d(xt, wt, bt, 1, padding)
+    assert shifted_path(*out.shape[1:3], k)
+    # The forward oracle: the same patches as explicit columns, one einsum.
+    top = (k - 1) // 2 if padding == "same" else 0
+    bottom = k - 1 - top if padding == "same" else 0
+    xpad = np.pad(x, ((0, 0), (top, bottom), (top, bottom), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(xpad, (k, k), axis=(1, 2))
+    assert_rel_close(out.data, np.einsum("nhwcij,ijco->nhwo", windows, w) + b)
+    g = rng.normal(size=out.shape)
+    T.backward(T.sum_(T.mul(out, Tensor(g))))
+    for got, want in zip((xt.grad, wt.grad, bt.grad), conv2d_explicit_cols_grads(x, w, b, g, 1, padding)):
+        assert_rel_close(got, want)
+
+
+@pytest.mark.parametrize("stride,k,size,shifted", [
+    (1, 3, (7, 6), False), (1, 3, (48, 48), True), (2, 4, (8, 10), False),
+], ids=["stride1-im2col", "stride1-shifted", "stride2"])
+def test_conv2d_is_adjoint_of_conv2d_transpose(rng, stride, k, size, shifted):
+    # <conv2d(x, W), y> = <x, conv2d_transpose(y, W)>: a [K, K, Cin, Cout]
+    # conv2d kernel is the [K, K, Cout', Cin'] kernel of its transpose.
+    x = rng.normal(size=(2, *size, 3))
+    w = rng.normal(size=(k, k, 3, 4))
+    ho, wo = -(-size[0] // stride), -(-size[1] // stride)
+    assert (stride == 1 and shifted_path(ho, wo, k)) == shifted
+    y = rng.normal(size=(2, ho, wo, 4))
+    lhs = np.vdot(T.conv2d(Tensor(x), Tensor(w), None, stride, "same").data, y)
+    rhs = np.vdot(x, T.conv2d_transpose(Tensor(y), Tensor(w), None, stride, "same").data)
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
 def closure_arrays(fn, seen=None):
     """Every ndarray a backward closure can reach: its cells, the data and
     grad of tensors in them, and nested closures, without walking the graph."""
@@ -433,13 +487,17 @@ def closure_arrays(fn, seen=None):
     return found
 
 
-@pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid")])
-def test_conv2d_backward_keeps_no_patch_matrix(rng, stride, padding):
-    x = Tensor(rng.normal(size=(2, 9, 9, 4)), requires_grad=True)
+@pytest.mark.parametrize("stride,padding,shape", [
+    (1, "same", (2, 9, 9, 4)), (2, "same", (2, 9, 9, 4)), (1, "valid", (2, 9, 9, 4)),
+    (1, "same", (1, 48, 48, 4)),
+], ids=["1-same", "2-same", "1-valid", "1-same-shifted"])
+def test_conv2d_backward_keeps_no_patch_matrix(rng, stride, padding, shape):
+    n, h, wd, c = shape
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 3, 4, 5)), requires_grad=True)
     out = T.conv2d(x, w, Tensor(np.zeros(5)), stride, padding)
     pad = 2 if padding == "same" else 0
-    xpad_bytes = 2 * (9 + pad) * (9 + pad) * 4 * 8
+    xpad_bytes = n * (h + pad) * (wd + pad) * c * 8
     limit = max(xpad_bytes, out.data.nbytes)
     arrays = closure_arrays(out._backward)
     assert arrays  # the walk does reach the input and kernel
@@ -545,6 +603,28 @@ def test_activation_gradients(rng):
     check_gradients(T.relu, [x])
     check_gradients(lambda t: T.leaky_relu(t, 0.2), [x])
     check_gradients(T.tanh, [x], rtol=1e-6)
+
+
+@pytest.mark.parametrize("op", ["relu", "leaky_relu"])
+def test_activation_backward_keeps_only_a_bool_mask(rng, op):
+    x = rng.normal(size=(3, 4, 5))
+    x[0] = 0.0
+    x[1, 0] = -0.0
+    g = rng.normal(size=x.shape)
+    g[2, 0] = 0.0
+    g[2, 1] = -0.0
+    out = T.relu(Tensor(x, requires_grad=True)) if op == "relu" else \
+        T.leaky_relu(Tensor(x, requires_grad=True), 0.2)
+    (mask,) = closure_arrays(out._backward)
+    assert mask.dtype == np.bool_ and mask.shape == x.shape
+    # Bit for bit, signed zeros included, the formulas that kept the input.
+    if op == "relu":
+        want_out, want_dx = np.maximum(x, 0.0), g * (x > 0.0)
+    else:
+        want_out, want_dx = np.where(x > 0.0, x, 0.2 * x), g * np.where(x > 0.0, 1.0, 0.2)
+    (dx,) = out._backward(g)
+    assert out.data.tobytes() == want_out.tobytes()
+    assert dx.tobytes() == want_dx.tobytes()
 
 
 # --- concat ----------------------------------------------------------------------
