@@ -159,6 +159,8 @@ def model_config_from(cfg: RunConfig, task: str, classes: int, image_size: int) 
         task=task,
         seed=cfg.get("seed", 0),
     )
+    if mc.image_size != image_size:
+        raise ConfigError(f"model image_size {mc.image_size} does not match the dataset's {image_size}")
     return mc.validated()
 
 
@@ -262,6 +264,9 @@ def cmd_eval(cfg: RunConfig) -> int:
     samples, task, classes, image_size = resolve_dataset(cfg)
     if task != gen.config.task:
         raise ConfigError(f"dataset task {task!r} does not match checkpoint task {gen.config.task!r}")
+    if image_size != gen.config.image_size:
+        raise ConfigError(f"dataset image size {image_size} does not match checkpoint "
+                          f"image_size {gen.config.image_size}")
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.echo(out_dir / "config.txt")
     variant = gen.config.variant

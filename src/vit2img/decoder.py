@@ -22,8 +22,7 @@ DEFAULT_SCHEDULE: tuple[tuple[int, int], ...] = ((512, 512), (256, 256), (64, 64
 def tokens_to_grid(tokens) -> Tensor:
     """Reshape [N, P, D] tokens onto a square [N, side, side, D] grid.
 
-    Row-major inverse of the patch ordering used by extract_patches, so
-    grid -> tokens -> grid is an identity.
+    Row-major, the inverse of the patch ordering used by extract_patches.
     """
     tokens = T.as_tensor(tokens)
     if tokens.data.ndim != 3:
@@ -33,12 +32,6 @@ def tokens_to_grid(tokens) -> Tensor:
     if side * side != p:
         raise ConfigError(f"tokens_to_grid: token count {p} is not a perfect square")
     return T.reshape(tokens, (n, side, side, d))
-
-
-def grid_to_tokens(grid) -> Tensor:
-    grid = T.as_tensor(grid)
-    n, h, w, d = grid.shape
-    return T.reshape(grid, (n, h * w, d))
 
 
 class ResidualBlock(Module):

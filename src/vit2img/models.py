@@ -19,8 +19,9 @@ import json
 import os
 import struct
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import log2
+from math import log2, prod
 from typing import Optional
 
 import numpy as np
@@ -29,7 +30,7 @@ from . import tensor as T
 from .decoder import (DEFAULT_SCHEDULE, OutputHead, SkipProjection,
                       UpsampleStage, tokens_to_grid, upsample_concat)
 from .encoder import PatchConfig, PatchEncoder, TransformerLayer, extract_patches
-from .errors import (CheckpointFormatError, CheckpointMismatchError,
+from .errors import (CheckpointError, CheckpointFormatError, CheckpointMismatchError,
                      CheckpointVersionError, ConfigError, DimensionError)
 from .layers import (BATCH_NORM_EPS, BATCH_NORM_MOMENTUM, LAYER_NORM_EPS,
                      LEAKY_SLOPE, BatchNorm, Conv2d, ConvTranspose2d, Module)
@@ -269,11 +270,72 @@ def build_generator(config: ModelConfig) -> Generator:
 #   record  u16 name length, name bytes, u8 kind (0 param / 1 buffer /
 #           2 optimizer), u8 ndim, ndim * u32 dims, float64 payload
 #   crc32   u32      over every preceding byte
+#
+# A load reads the file once, front to back: each payload goes straight into
+# its final array, after its declared size is checked against the bytes the
+# file has left, so a load holds about one file's worth of memory.  The CRC
+# folds over the same bytes as they arrive and is checked before anything is
+# returned.  Any other fault (version, header, record layout, truncation) is
+# reported only once the whole-file CRC has matched; on that path the CRC is
+# taken by a second read.  Parameter and buffer values must be finite.
 
 CHECKPOINT_MAGIC = b"V2IG"
 CHECKPOINT_VERSION = 1
 
 KIND_PARAM, KIND_BUFFER, KIND_OPT = 0, 1, 2
+
+
+class _RunningCrc:
+    """zlib.crc32 folded over buffers in the order given, on one worker thread.
+
+    zlib releases the GIL for buffers above 5 KiB, so the CRC of one buffer
+    runs beside the file I/O of the next.  Buffers under ``TASK_BYTES`` are
+    gathered into one task, so that each task outweighs its hand-off.
+    Leaving the ``with`` block joins the thread on every path.  A buffer
+    must not change once passed.
+    """
+
+    TASK_BYTES = 1 << 16
+
+    def __init__(self):
+        self._pool = ThreadPoolExecutor(max_workers=1)
+        self._folds = []
+        self._small = bytearray()
+        self._crc = 0
+
+    def _fold(self, buf) -> None:
+        self._crc = zlib.crc32(buf, self._crc)
+
+    def _submit(self, buf) -> None:
+        self._folds.append(self._pool.submit(self._fold, buf))
+
+    def _flush(self) -> None:
+        if self._small:
+            self._submit(self._small)
+            self._small = bytearray()
+
+    def update(self, buf) -> None:
+        view = memoryview(buf)
+        if view.nbytes >= self.TASK_BYTES:
+            self._flush()
+            self._submit(buf)
+        else:
+            self._small += view
+            if len(self._small) >= self.TASK_BYTES:
+                self._flush()
+
+    def value(self) -> int:
+        self._flush()
+        self._pool.shutdown()
+        for fold in self._folds:
+            fold.result()  # re-raises a fold that failed
+        return self._crc
+
+    def __enter__(self) -> "_RunningCrc":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._pool.shutdown(cancel_futures=True)
 
 
 def _pack_record(name: str, kind: int, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -304,20 +366,18 @@ def save_checkpoint(gen: Generator, path, optimizer_state: Optional[dict] = None
             records.append((f"adam.v.{name}", KIND_OPT, v))
     tmp = os.fspath(path) + ".tmp"
     try:
-        with open(tmp, "wb") as f:
-            crc = 0
+        with open(tmp, "wb") as f, _RunningCrc() as crc:
 
             def write(chunk) -> None:
-                nonlocal crc
+                crc.update(chunk)
                 f.write(chunk)
-                crc = zlib.crc32(chunk, crc)
 
             write(b"".join([CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(header)),
                             header, struct.pack("<I", len(records))]))
             for record in records:
                 for chunk in _pack_record(*record):
                     write(chunk)
-            f.write(struct.pack("<I", crc))
+            f.write(struct.pack("<I", crc.value()))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -326,18 +386,36 @@ def save_checkpoint(gen: Generator, path, optimizer_state: Optional[dict] = None
 
 
 class _Reader:
-    def __init__(self, blob: memoryview):
-        self.blob = blob
+    """Reads a checkpoint body in order, each read checked against the body's
+    size and its bytes passed on to the running CRC."""
+
+    def __init__(self, f, size: int, crc: _RunningCrc):
+        self.f, self.size, self.crc = f, size, crc
         self.pos = 0
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.blob):
+    def _claim(self, n: int) -> None:
+        if self.pos + n > self.size:
             raise CheckpointFormatError(
-                f"checkpoint truncated: wanted {n} bytes at offset {self.pos}, file has {len(self.blob)}"
+                f"checkpoint truncated: wanted {n} bytes at offset {self.pos}, file has {self.size}"
             )
-        out = self.blob[self.pos:self.pos + n]
         self.pos += n
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        out = self.f.read(n)
+        if len(out) != n:
+            raise CheckpointFormatError(f"checkpoint truncated: file ends inside {n} bytes")
+        self.crc.update(out)
         return out
+
+    def array(self, shape: tuple[int, ...]) -> np.ndarray:
+        n = 8 * prod(shape)
+        self._claim(n)
+        arr = np.empty(shape, dtype="<f8")
+        if self.f.readinto(arr) != n:
+            raise CheckpointFormatError(f"checkpoint truncated: file ends inside {n} bytes")
+        self.crc.update(arr)
+        return arr
 
     def u8(self):
         return self.take(1)[0]
@@ -349,22 +427,8 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def _read_records(path):
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise CheckpointFormatError(f"cannot read checkpoint {path}: {e}") from e
-    if len(blob) < 4 or not blob.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointFormatError(f"{path}: bad magic bytes, not a checkpoint")
-    if len(blob) < 8:
-        raise CheckpointFormatError(f"{path}: truncated before version field")
-    # Slices of the view share the file's bytes; only the arrays are copied.
-    body = memoryview(blob)[:-4]
-    stored_crc = struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(body) != stored_crc:
-        raise CheckpointFormatError(f"{path}: CRC mismatch, file is corrupt")
-    r = _Reader(body)
+def _parse(r: _Reader, path):
+    """The config and the name -> (kind, array) records, in file order."""
     r.take(4)
     version = r.u32()
     if version != CHECKPOINT_VERSION:
@@ -381,13 +445,48 @@ def _read_records(path):
     count = r.u32()
     records: dict[str, tuple[int, np.ndarray]] = {}
     for _ in range(count):
-        name = str(r.take(r.u16()), "utf-8")
+        try:
+            name = str(r.take(r.u16()), "utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointFormatError(f"{path}: record name is not UTF-8 at offset {r.pos}") from e
         kind = r.u8()
         ndim = r.u8()
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(r.take(8 * n), dtype="<f8").reshape(shape).copy()
-        records[name] = (kind, arr)
+        records[name] = (kind, r.array(shape))
+    r.take(r.size - r.pos)  # bytes after the last record are covered by the CRC too
+    return config, records
+
+
+def _read_records(path):
+    try:
+        with open(path, "rb") as f, _RunningCrc() as crc:
+            size = os.fstat(f.fileno()).st_size
+            if f.read(4) != CHECKPOINT_MAGIC:
+                raise CheckpointFormatError(f"{path}: bad magic bytes, not a checkpoint")
+            if size < 8:
+                raise CheckpointFormatError(f"{path}: truncated before version field")
+            f.seek(-4, os.SEEK_END)
+            (stored_crc,) = struct.unpack("<I", f.read(4))
+            f.seek(0)
+            try:
+                config, records = _parse(_Reader(f, size - 4, crc), path)
+            except CheckpointError:
+                f.seek(0)  # a second read: a CRC mismatch outranks what the parse found
+                if zlib.crc32(f.read(size - 4)) != stored_crc:
+                    raise CheckpointFormatError(f"{path}: CRC mismatch, file is corrupt") from None
+                raise
+            # Scanned while the worker finishes the CRC, by min and max (which
+            # NaN and infinities reach) so that no array-sized temporary is made.
+            non_finite = next((name for name, (kind, arr) in records.items()
+                               if kind in (KIND_PARAM, KIND_BUFFER)
+                               and not np.isfinite([arr.min(initial=0.0), arr.max(initial=0.0)]).all()),
+                              None)
+            if crc.value() != stored_crc:
+                raise CheckpointFormatError(f"{path}: CRC mismatch, file is corrupt")
+    except OSError as e:
+        raise CheckpointFormatError(f"cannot read checkpoint {path}: {e}") from e
+    if non_finite is not None:
+        raise CheckpointFormatError(f"{path}: record {non_finite} holds a non-finite value")
     return config, records
 
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,22 @@ def check_gradients(op, arrays, rtol=1e-4, h=1e-5, seed=0):
         scale = max(np.abs(exp_g).max(), 1.0)
         assert t.grad is not None
         np.testing.assert_allclose(t.grad, exp_g, rtol=rtol, atol=rtol * scale)
+
+
+def record_heads(blob) -> list[tuple[str, int, int]]:
+    """(name, offset of the record's head, offset of its payload) per
+    checkpoint record, walked from the header's length field."""
+    (n,) = struct.unpack_from("<I", blob, 8)
+    (count,) = struct.unpack_from("<I", blob, 12 + n)
+    pos, heads = 16 + n, []
+    for _ in range(count):
+        (k,) = struct.unpack_from("<H", blob, pos)
+        ndim = blob[pos + 3 + k]
+        dims = struct.unpack_from(f"<{ndim}I", blob, pos + 4 + k)
+        payload = pos + 4 + k + 4 * ndim
+        heads.append((blob[pos + 2:pos + 2 + k].decode(), pos, payload))
+        pos = payload + 8 * int(np.prod(dims))
+    return heads
 
 
 @pytest.fixture

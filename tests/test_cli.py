@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from conftest import record_heads
 from vit2img.cli import main, parse_config_file, parse_synthetic_spec
 from vit2img.data import (PALETTE, DatasetManifest, float_to_byte, load_image,
                           load_manifest_dataset, read_manifest, save_image,
@@ -161,13 +162,16 @@ REJECTED = [
     ("train-embed-dim-0", ["train", *SHAPES, *TINY_MODEL, "--embed-dim", "0"], 2),
     ("train-num-layers--1", ["train", *SHAPES, *TINY_MODEL, "--num-layers", "-1"], 2),
     ("train-ffn-width-0", ["train", *SHAPES, *TINY_MODEL, "--ffn-width", "0"], 2),
+    ("train-image-size-mismatch", ["train", *SHAPES, *TINY_MODEL, "--image-size", "32"], 2),
     ("train-missing-manifest", ["train", "--manifest", "{tmp}/none.manifest", *TINY_MODEL], 3),
     ("eval-missing-checkpoint", ["eval", "--checkpoint", "{tmp}/none.ckpt", *SHAPES], 3),
     ("eval-task-mismatch", ["eval", "--checkpoint", "{ckpt}", "--synthetic", "depth:n=2,size=16"], 2),
     ("eval-bogus-synthetic", ["eval", "--checkpoint", "{ckpt}", "--synthetic", "bogus"], 2),
+    ("eval-image-size-mismatch", ["eval", "--checkpoint", "{ckpt}", "--synthetic", "shapes:n=2,size=32"], 2),
     ("compare-epochs-0", ["compare", *SHAPES, *TINY_MODEL, "--epochs", "0"], 2),
     ("compare-bogus-synthetic", ["compare", "--synthetic", "bogus", *TINY_MODEL], 2),
     ("compare-patch-size-5", ["compare", *SHAPES, *TINY_MODEL, "--patch-size", "5"], 2),
+    ("compare-image-size-mismatch", ["compare", *SHAPES, *TINY_MODEL, "--image-size", "32"], 2),
 ]
 
 
@@ -352,6 +356,19 @@ def config_with(**fields):
     return make
 
 
+def record_value(record: str, value: float):
+    """A copy of the checkpoint whose record ``record`` starts with ``value``, under a valid CRC."""
+    def make(tmp_path, ckpt):
+        body = bytearray(ckpt.read_bytes()[:-4])
+        payload = {name: at for name, _, at in record_heads(body)}[record]
+        struct.pack_into("<d", body, payload, value)
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        return lambda: load_checkpoint(path), ["eval", "--checkpoint", str(path), *SHAPES,
+                                               "--out", str(tmp_path / "run")]
+    return make
+
+
 def empty_ppm(tmp_path, ckpt):
     path = tmp_path / "empty.ppm"
     path.write_bytes(b"P6\n0 0\n255\n")
@@ -378,6 +395,9 @@ MALFORMED = [
     ("header-not-object", bad_checkpoint(b'["config"]'), CheckpointFormatError),
     ("header-unknown-config-key", config_with(bogus=1), CheckpointFormatError),
     ("header-variant-z", config_with(variant="Z"), CheckpointFormatError),
+    ("param-nan", record_value("encoder.patch.bias", float("nan")), CheckpointFormatError),
+    ("running-var-inf", record_value("decoder.stages.0.bn.running_var", float("inf")),
+     CheckpointFormatError),
     ("ppm-0x0", empty_ppm, DecodeError),
     ("manifest-16x8-pair", non_square_manifest, DataError),
 ]

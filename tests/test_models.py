@@ -1,13 +1,19 @@
 import hashlib
+import struct
+import sys
+import threading
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 import vit2img.tensor as T
+from conftest import record_heads
 from vit2img.errors import (CheckpointFormatError, CheckpointVersionError,
                             ConfigError, DimensionError)
-from vit2img.models import (ModelConfig, build_generator, load_checkpoint,
-                            save_checkpoint)
+from vit2img.models import (ModelConfig, _read_records, _RunningCrc,
+                            build_generator, load_checkpoint, save_checkpoint)
 from vit2img.training import AdamState, adam_step, mae_loss
 
 
@@ -368,3 +374,136 @@ def test_gradient_reaches_every_parameter(rng):
     for name, p in g.named_parameters():
         assert p.grad is not None, f"no grad on {name}"
         assert np.abs(p.grad).max() > 0.0, f"dead parameter {name}"
+
+
+# --- streamed checkpoint loads -------------------------------------------------------
+
+def rewrite_with_crc(path, body) -> None:
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_INIT))
+def test_golden_init_checkpoint_loads_bit_identically(tmp_path, variant):
+    # The pinned digest shows these are the bytes every earlier build wrote.
+    config, digest = GOLDEN_INIT[variant]
+    gen = build_generator(config())
+    path = tmp_path / "init.ckpt"
+    save_checkpoint(gen, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    loaded = load_checkpoint(path)
+    assert loaded.config == gen.config
+    for (n1, p1), (n2, p2) in zip(gen.named_parameters(), loaded.named_parameters(), strict=True):
+        assert n1 == n2 and p1.data.tobytes() == p2.data.tobytes()
+    for (n1, b1), (n2, b2) in zip(gen.named_buffers(), loaded.named_buffers(), strict=True):
+        assert n1 == n2 and b1.tobytes() == b2.tobytes()
+
+
+def test_read_records_holds_about_one_file(tmp_path):
+    gen = build_generator(tiny_config(image_size=32, patch_size=8,
+                                      decoder_schedule=((128, 128), (64, 64), (32, 32))))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(gen, path)
+    size = path.stat().st_size
+    assert size >= 4_000_000
+    tracemalloc.start()
+    try:
+        _, records = _read_records(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == len(gen.shape_manifest()) + len(list(gen.named_buffers()))
+    assert peak <= 1.2 * size
+
+
+@pytest.mark.parametrize("dims", [(2 ** 32 - 1, 2 ** 32 - 1), (2 ** 20, 2 ** 20)])
+def test_record_larger_than_file_is_a_format_error(tmp_path, dims):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_generator(tiny_config()), path)
+    body = bytearray(path.read_bytes()[:-4])
+    _, _, payload = record_heads(body)[0]  # encoder.patch.projection, 2-d
+    struct.pack_into("<2I", body, payload - 8, *dims)
+    rewrite_with_crc(path, body)
+    with pytest.raises(CheckpointFormatError, match="truncated"):
+        load_checkpoint(path)
+
+
+FLIPPED_BYTE = {
+    "version": lambda heads: 4,
+    "header-length": lambda heads: 8,
+    "header": lambda heads: 20,
+    "record-count": lambda heads: heads[0][1] - 4,
+    "name-length": lambda heads: heads[3][1],
+    "name": lambda heads: heads[3][1] + 2,
+    "kind": lambda heads: heads[3][2] - 10,
+    "ndim": lambda heads: heads[3][2] - 9,
+    "dims": lambda heads: heads[3][2] - 1,
+    "last-payload": lambda heads: -5,  # the byte before the CRC trailer
+}
+
+
+@pytest.mark.parametrize("where", sorted(FLIPPED_BYTE))
+def test_flipped_header_or_record_head_fails_crc(tmp_path, where):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_generator(tiny_config()), path)
+    blob = bytearray(path.read_bytes())
+    assert record_heads(blob)[3][0] == "encoder.layers.0.attn.heads.0.wq"  # 2-d, 29-byte name
+    blob[FLIPPED_BYTE[where](record_heads(blob))] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointFormatError, match="CRC"):
+        load_checkpoint(path)
+
+
+def test_record_name_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_generator(tiny_config()), path)
+    body = bytearray(path.read_bytes()[:-4])
+    _, head, _ = record_heads(body)[3]
+    body[head + 2] = 0xFF
+    rewrite_with_crc(path, body)
+    with pytest.raises(CheckpointFormatError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+def test_running_crc_folds_in_order_under_fast_thread_switching():
+    rng = np.random.default_rng(3)
+    bufs = [rng.bytes(n) for n in rng.integers(0, 3 * _RunningCrc.TASK_BYTES, size=300)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _RunningCrc() as crc:
+            for buf in bufs:
+                crc.update(buf)
+            assert crc.value() == zlib.crc32(b"".join(bufs))
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def test_no_thread_outlives_a_save_or_load(tmp_path, monkeypatch):
+    import vit2img.models as models
+
+    before = threading.active_count()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_generator(tiny_config()), path)
+    assert threading.active_count() == before
+    load_checkpoint(path)
+    assert threading.active_count() == before
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    corrupt = tmp_path / "corrupt.ckpt"
+    corrupt.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointFormatError, match="CRC"):
+        load_checkpoint(corrupt)
+    assert threading.active_count() == before
+    pack, calls = models._pack_record, 0
+
+    def failing_pack(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 5:
+            raise OSError("disk full")
+        return pack(*args)
+
+    monkeypatch.setattr(models, "_pack_record", failing_pack)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(build_generator(tiny_config(seed=8)), path)
+    assert threading.active_count() == before
