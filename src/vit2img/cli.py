@@ -1,8 +1,9 @@
 """Experiment command line: train / eval / infer / compare.
 
 Configuration comes from an optional plain-text ``key = value`` file plus
-flag overrides (flags win).  Every run directory receives a full config
-echo, so any run can be reproduced from its own outputs.
+flag overrides (flags win); ``SETTINGS`` says which commands read each key.
+Every run directory receives a full config echo, so any run can be
+reproduced from its own outputs.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric abort.
 """
@@ -11,8 +12,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,14 +25,9 @@ from .data import (PairedSample, load_image, load_manifest_dataset,
 from .errors import ConfigError, DataError, NumericError, Vit2ImgError
 from .metrics import (MetricsReport, TinyClassifier, fid, format_table,
                       inception_score, make_extractor, ssim)
-from .models import Generator, ModelConfig, build_generator, load_checkpoint
+from .models import (TASKS, VARIANTS, Generator, ModelConfig, build_generator,
+                     load_checkpoint)
 from .training import check_budget, loss_kind_for_task, train, write_train_log
-
-MODEL_KEYS = {
-    "variant": str, "task": str, "image_size": int, "patch_size": int,
-    "embed_dim": int, "num_heads": int, "ffn_width": int,
-    "num_transformer_layers": int, "out_channels": int, "seed": int,
-}
 
 
 def boolean(raw: str) -> bool:
@@ -40,125 +37,152 @@ def boolean(raw: str) -> bool:
     return raw == "True"
 
 
-RUN_KEYS = {
-    "synthetic": str, "manifest": str, "epochs": int, "steps": int,
-    "batch_size": int, "stop_loss": float, "out": str, "extractor": str,
-    "montage_every": int, "checkpoint": str, "classes": int, "self_eval": boolean,
+def nonnegative(raw: str) -> int:
+    """Parse an integer that is at least 0."""
+    value = int(raw)
+    if value < 0:
+        raise ValueError(raw)
+    return value
+
+
+class Setting(NamedTuple):
+    parse: Callable[[str], object]
+    commands: tuple[str, ...]  # the commands that read the key
+    flag: Optional[str]        # None: only a config file sets the key
+    help: Optional[str] = None
+    choices: Optional[tuple[str, ...]] = None
+
+
+DATA = ("train", "eval", "compare")  # the commands that read a dataset
+MODEL = ("train", "compare")         # the commands that build and train models
+SETTINGS = {
+    "out": Setting(str, DATA, "--out", "output directory for run artifacts"),
+    "seed": Setting(nonnegative, DATA, "--seed"),
+    "synthetic": Setting(str, DATA, "--synthetic",
+                         "synthetic dataset spec, e.g. shapes:n=8 or depth:n=8,size=64"),
+    "manifest": Setting(str, DATA, "--manifest", "manifest file of input/target pairs"),
+    "classes": Setting(int, DATA, "--classes"),
+    "task": Setting(str, DATA, None, choices=TASKS),
+    "variant": Setting(str, ("train",), "--variant", choices=VARIANTS),
+    "image_size": Setting(int, MODEL, "--image-size"),
+    "patch_size": Setting(int, MODEL, "--patch-size"),
+    "embed_dim": Setting(int, MODEL, "--embed-dim"),
+    "num_heads": Setting(int, MODEL, "--num-heads"),
+    "ffn_width": Setting(int, MODEL, "--ffn-width"),
+    "num_transformer_layers": Setting(int, MODEL, "--num-layers"),
+    "out_channels": Setting(int, MODEL, "--out-channels"),
+    "epochs": Setting(int, MODEL, "--epochs"),
+    "steps": Setting(int, MODEL, "--steps", "cap on optimizer steps"),
+    "batch_size": Setting(int, MODEL, "--batch-size"),
+    "stop_loss": Setting(float, ("train",), "--stop-loss"),
+    "montage_every": Setting(nonnegative, ("train",), "--montage-every",
+                             "write a progress montage every k epochs"),
+    "checkpoint": Setting(str, ("eval", "infer"), "--checkpoint"),
+    "extractor": Setting(str, ("eval", "compare"), "--extractor", choices=("pixel", "proj", "tiny")),
+    "self_eval": Setting(boolean, ("eval",), "--self-eval",
+                         "score targets against themselves (sanity mode)"),
+    "input": Setting(str, ("infer",), "--input", "input PPM image"),
+    "output": Setting(str, ("infer",), "--output", "output PPM image"),
 }
 
 
 def parse_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    known = set(MODEL_KEYS) | set(RUN_KEYS)
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not eq:
                 raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in known:
+            if key not in SETTINGS:
                 raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-            values[key] = val.strip()
+            values[key] = val
     return values
 
 
 def parse_synthetic_spec(spec: str) -> tuple[str, dict[str, int]]:
     """Parse 'shapes:n=8,classes=3' into (kind, options)."""
     kind, _, rest = spec.partition(":")
-    opts: dict[str, int] = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise ConfigError(f"bad synthetic spec item {item!r} in {spec!r}")
-            try:
-                opts[key.strip()] = int(val)
-            except ValueError:
-                raise ConfigError(f"synthetic option {key!r} must be an integer, got {val!r}")
     if kind not in ("shapes", "depth"):
         raise ConfigError(f"unknown synthetic dataset {kind!r}; expected 'shapes' or 'depth'")
+    opts: dict[str, int] = {}
+    for item in rest.split(",") if rest else ():
+        key, _, val = (part.strip() for part in item.partition("="))
+        if key not in ("n", "size", "classes", "seed"):
+            raise ConfigError(f"unknown synthetic option {key!r}; expected n, size, classes or seed")
+        try:
+            opts[key] = nonnegative(val)
+        except ValueError:
+            raise ConfigError(f"synthetic option {key!r} must be a nonnegative integer, got {val!r}")
     return kind, opts
 
 
-class RunConfig:
-    """Merged file + flag settings with typed access and an echo writer."""
+class RunConfig(dict):
+    """Merged file + flag settings, typed by their ``SETTINGS`` parsers, with an echo writer."""
 
     def __init__(self, args: argparse.Namespace):
-        self.values: dict[str, object] = {}
-        if getattr(args, "config", None):
-            file_vals = parse_config_file(args.config)
-            for key, raw in file_vals.items():
-                typ = MODEL_KEYS.get(key) or RUN_KEYS[key]
-                try:
-                    self.values[key] = typ(raw)
-                except ValueError:
-                    raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {typ.__name__}")
-        for key in list(MODEL_KEYS) + list(RUN_KEYS):
-            flag = getattr(args, key, None)
-            if flag is not None:
-                self.values[key] = flag
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
+        raw = parse_config_file(args.config) if getattr(args, "config", None) else {}
+        for key in raw:
+            if args.command not in SETTINGS[key].commands:
+                raise ConfigError(f"{args.config}: {args.command} does not read config key {key!r}")
+        raw.update((key, getattr(args, key)) for key in SETTINGS if getattr(args, key, None) is not None)
+        for key, text in raw.items():
+            setting = SETTINGS[key]
+            try:
+                self[key] = setting.parse(text)
+            except ValueError:
+                raise ConfigError(f"setting {key!r}: cannot parse {text!r} as {setting.parse.__name__}")
+            if setting.choices and self[key] not in setting.choices:
+                raise ConfigError(f"setting {key!r}: {text!r} is not one of {', '.join(setting.choices)}")
 
     def require(self, key):
-        if key not in self.values:
-            raise ConfigError(f"missing required setting {key!r} (flag --{key.replace('_', '-')})")
-        return self.values[key]
+        if key not in self:
+            raise ConfigError(f"missing required setting {key!r} (flag {SETTINGS[key].flag})")
+        return self[key]
 
     def echo(self, path) -> None:
-        with open(path, "w") as f:
-            for key in sorted(self.values):
-                f.write(f"{key} = {self.values[key]}\n")
+        with open(path, "w", encoding="utf-8") as f:
+            for key in sorted(self):
+                f.write(f"{key} = {self[key]}\n")
 
 
-def resolve_dataset(cfg: RunConfig) -> tuple[list[PairedSample], str, int, int]:
+def resolve_dataset(cfg: RunConfig, size: int) -> tuple[list[PairedSample], str, int, int]:
     """Return (samples, task, classes, image_size) from synthetic or manifest flags.
 
-    The dataset decides the task; a configured ``task`` must agree with it.
+    ``size`` is the synthetic image size where neither the spec nor an
+    ``image_size`` setting gives one.  The dataset decides the task; a
+    configured ``task`` must agree with it.
     """
     if cfg.get("synthetic") and cfg.get("manifest"):
         raise ConfigError("pass either --synthetic or --manifest, not both")
     if cfg.get("synthetic"):
         kind, opts = parse_synthetic_spec(cfg.get("synthetic"))
-        n = opts.get("n", 8)
-        image_size = opts.get("size", cfg.get("image_size", 64))
+        image_size = opts.get("size", cfg.get("image_size", size))
         classes = opts.get("classes", cfg.get("classes", 3))
-        seed = opts.get("seed", cfg.get("seed", 0))
-        samples = make_synthetic(kind, n, image_size, seed, classes)
+        seed = opts.get("seed", cfg.get("seed", ModelConfig.seed))
+        samples = make_synthetic(kind, opts.get("n", 8), image_size, seed, classes)
         task = "segmentation" if kind == "shapes" else "regression"
     elif cfg.get("manifest"):
         manifest = read_manifest(cfg.get("manifest"))
         samples = load_manifest_dataset(manifest)
-        if not samples:
-            raise DataError(f"manifest {cfg.get('manifest')} lists no samples")
         task, classes, image_size = manifest.task, manifest.classes, manifest.image_size
     else:
         raise ConfigError("no dataset: pass --synthetic kind:opts or --manifest path")
+    if not samples:
+        raise DataError(f"dataset {cfg.get('synthetic') or cfg.get('manifest')} has no samples")
     if cfg.get("task", task) != task:
         raise ConfigError(f"configured task {cfg.get('task')!r} does not match the dataset's task {task!r}")
     return samples, task, classes, image_size
 
 
 def model_config_from(cfg: RunConfig, task: str, classes: int, image_size: int) -> ModelConfig:
-    out_channels = cfg.get("out_channels")
-    if out_channels is None:
-        out_channels = classes if task == "segmentation" else 1
-    mc = ModelConfig(
-        variant=cfg.get("variant", "C"),
-        image_size=cfg.get("image_size", image_size),
-        patch_size=cfg.get("patch_size", 16),
-        embed_dim=cfg.get("embed_dim", 64),
-        num_heads=cfg.get("num_heads", 2),
-        ffn_width=cfg.get("ffn_width", 32),
-        num_transformer_layers=cfg.get("num_transformer_layers", 4),
-        out_channels=out_channels,
-        task=task,
-        seed=cfg.get("seed", 0),
-    )
+    """The configured model; task, image size and out_channels default to the dataset's."""
+    implied = {"task": task, "image_size": image_size,
+               "out_channels": classes if task == "segmentation" else 1}
+    mc = ModelConfig(**{f.name: cfg.get(f.name, implied.get(f.name, f.default))
+                        for f in fields(ModelConfig)})
     if mc.image_size != image_size:
         raise ConfigError(f"model image_size {mc.image_size} does not match the dataset's {image_size}")
     return mc.validated()
@@ -166,11 +190,8 @@ def model_config_from(cfg: RunConfig, task: str, classes: int, image_size: int) 
 
 def model_outputs(gen: Generator, samples: list[PairedSample]) -> list[np.ndarray]:
     """Eval-mode forward over a dataset, one image at a time."""
-    outs = []
     with T.no_grad():
-        for s in samples:
-            outs.append(gen.forward(s.input[None], "eval").data[0])
-    return outs
+        return [gen.forward(s.input[None], "eval").data[0] for s in samples]
 
 
 def render(task: str, image: np.ndarray) -> np.ndarray:
@@ -186,10 +207,8 @@ def evaluate_model(gen: Generator, samples, extractor_kind: str, seed: int,
                    model_name: str, self_eval: bool = False) -> MetricsReport:
     task = gen.config.task
     targets_rendered = [render(task, s.target) for s in samples]
-    if self_eval:
-        outputs_rendered = [t.copy() for t in targets_rendered]
-    else:
-        outputs_rendered = [render(task, out) for out in model_outputs(gen, samples)]
+    outputs = [s.target for s in samples] if self_eval else model_outputs(gen, samples)
+    outputs_rendered = [render(task, out) for out in outputs]
     # Segmentation renders to RGB, regression to its output channels (1 for depth).
     channels = 3 if task == "segmentation" else gen.config.out_channels
     extractor = make_extractor(extractor_kind, gen.config.image_size, seed, channels=channels)
@@ -208,12 +227,13 @@ def evaluate_model(gen: Generator, samples, extractor_kind: str, seed: int,
     )
 
 
-def _write_montage(gen: Generator, samples, path, max_rows: int = 4) -> None:
-    rows = []
+def _write_montage(gens: list[Generator], samples, path, max_rows: int = 4) -> None:
+    """One row per sample: input | target | each generator's output."""
     subset = samples[:max_rows]
-    task = gen.config.task
-    for s, out in zip(subset, model_outputs(gen, subset)):
-        rows.append([np.clip(s.input, -1, 1), render(task, s.target), render(task, out)])
+    task = gens[0].config.task
+    outs = [model_outputs(gen, subset) for gen in gens]
+    rows = [[np.clip(s.input, -1, 1), render(task, s.target), *(render(task, o[i]) for o in outs)]
+            for i, s in enumerate(subset)]
     montage(rows, path)
 
 
@@ -222,37 +242,40 @@ def _write_montage(gen: Generator, samples, path, max_rows: int = 4) -> None:
 # directory, so a rejected invocation leaves nothing behind.
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def training_run(cfg: RunConfig) -> tuple[Path, list[PairedSample], ModelConfig, dict]:
+    """A training command's run directory, dataset, model and checked budget (``train`` kwargs)."""
     out_dir = Path(cfg.require("out"))
-    samples, task, classes, image_size = resolve_dataset(cfg)
+    samples, task, classes, image_size = resolve_dataset(cfg, ModelConfig.image_size)
     mc = model_config_from(cfg, task, classes, image_size)
-    epochs, batch_size, steps = cfg.get("epochs", 1), cfg.get("batch_size", 4), cfg.get("steps")
-    check_budget(epochs, batch_size, steps)
+    budget = dict(epochs=cfg.get("epochs", 1), batch_size=cfg.get("batch_size", 4),
+                  max_steps=cfg.get("steps"))
+    check_budget(**budget)
+    return out_dir, samples, mc, budget
+
+
+def cmd_train(cfg: RunConfig) -> int:
+    out_dir, samples, mc, budget = training_run(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.values.setdefault("image_size", mc.image_size)
-    cfg.values.setdefault("out_channels", mc.out_channels)
-    cfg.values["task"] = task
+    cfg.update(task=mc.task, image_size=mc.image_size, out_channels=mc.out_channels)
     cfg.echo(out_dir / "config.txt")
     gen = build_generator(mc)
     montage_every = cfg.get("montage_every", 0)
 
     def epoch_hook(epoch: int) -> None:
         if montage_every and (epoch + 1) % montage_every == 0:
-            _write_montage(gen, samples, out_dir / f"montage-epoch{epoch + 1:04d}.ppm")
+            _write_montage([gen], samples, out_dir / f"montage-epoch{epoch + 1:04d}.ppm")
 
     gen, records = train(
         gen, samples,
-        epochs=epochs,
-        batch_size=batch_size,
-        loss_kind=loss_kind_for_task(task),
-        seed=cfg.get("seed", 0),
+        loss_kind=loss_kind_for_task(mc.task),
+        seed=mc.seed,
         checkpoint_path=out_dir / "checkpoint.ckpt",
-        max_steps=steps,
         stop_loss=cfg.get("stop_loss"),
         epoch_hook=epoch_hook,
+        **budget,
     )
     write_train_log(records, out_dir / "train.log")
-    _write_montage(gen, samples, out_dir / "montage.ppm")
+    _write_montage([gen], samples, out_dir / "montage.ppm")
     print(f"trained {mc.variant} for {len(records)} steps; final loss {records[-1].loss:.4f}")
     print(f"artifacts in {out_dir}")
     return 0
@@ -261,7 +284,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     out_dir = Path(cfg.require("out"))
     gen = load_checkpoint(cfg.require("checkpoint"))
-    samples, task, classes, image_size = resolve_dataset(cfg)
+    samples, task, classes, image_size = resolve_dataset(cfg, gen.config.image_size)
     if task != gen.config.task:
         raise ConfigError(f"dataset task {task!r} does not match checkpoint task {gen.config.task!r}")
     if image_size != gen.config.image_size:
@@ -272,7 +295,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     variant = gen.config.variant
     name = f"vit-{variant.lower()}" if variant in ("A", "B", "C") else variant
     report = evaluate_model(
-        gen, samples, cfg.get("extractor", "pixel"), cfg.get("seed", 0),
+        gen, samples, cfg.get("extractor", "pixel"), cfg.get("seed", ModelConfig.seed),
         model_name=name, self_eval=bool(cfg.get("self_eval")),
     )
     (out_dir / "metrics.txt").write_text(format_table([report]))
@@ -284,11 +307,9 @@ def cmd_eval(cfg: RunConfig) -> int:
 def cmd_infer(cfg: RunConfig) -> int:
     gen = load_checkpoint(cfg.require("checkpoint"))
     image = load_image(cfg.require("input"))
-    if image.shape[0] != gen.config.image_size or image.shape[1] != gen.config.image_size:
-        raise DataError(
-            f"input image is {image.shape[0]}x{image.shape[1]}, model expects "
-            f"{gen.config.image_size}x{gen.config.image_size}"
-        )
+    size = gen.config.image_size
+    if image.shape[:2] != (size, size):
+        raise DataError(f"input image is {image.shape[0]}x{image.shape[1]}, model expects {size}x{size}")
     with T.no_grad():
         out = gen.forward(image[None], "eval").data[0]
     save_image(render(gen.config.task, out), cfg.require("output"))
@@ -297,47 +318,25 @@ def cmd_infer(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.require("out"))
-    samples, task, classes, image_size = resolve_dataset(cfg)
-    mc = model_config_from(cfg, task, classes, image_size)
+    out_dir, samples, mc, budget = training_run(cfg)
     configs = {name: replace(mc, variant=variant).validated() for variant, name in
                (("autoencoder", "autoencoder"), ("unet", "unet"), ("C", "vit-c"))}
-    seed = cfg.get("seed", 0)
-    epochs = cfg.get("epochs", 1)
-    steps = cfg.get("steps")
-    batch = cfg.get("batch_size", 4)
-    check_budget(epochs, batch, steps)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.echo(out_dir / "config.txt")
-    loss_kind = loss_kind_for_task(task)
 
     trained: dict[str, Generator] = {}
     for name, config in configs.items():
-        gen, _ = train(build_generator(config), samples, epochs=epochs, batch_size=batch,
-                       loss_kind=loss_kind, seed=seed, max_steps=steps,
-                       checkpoint_path=out_dir / f"{name}.ckpt")
-        trained[name] = gen
+        trained[name], _ = train(build_generator(config), samples, loss_kind=loss_kind_for_task(mc.task),
+                                 seed=mc.seed, checkpoint_path=out_dir / f"{name}.ckpt", **budget)
 
     extractor_kind = cfg.get("extractor", "pixel")
-    reports = [
-        evaluate_model(trained["vit-c"], samples, extractor_kind, seed, "vit-c"),
-        evaluate_model(trained["unet"], samples, extractor_kind, seed, "unet"),
-        evaluate_model(trained["autoencoder"], samples, extractor_kind, seed, "autoencoder"),
-    ]
-    budget = (f"budget per model: epochs={epochs} steps={steps if steps else 'all'} "
-              f"batch_size={batch} seed={seed}")
-    table = format_table(reports, footer=budget)
+    reports = [evaluate_model(trained[name], samples, extractor_kind, mc.seed, name)
+               for name in ("vit-c", "unet", "autoencoder")]
+    footer = (f"budget per model: epochs={budget['epochs']} steps={budget['max_steps'] or 'all'} "
+              f"batch_size={budget['batch_size']} seed={mc.seed}")
+    table = format_table(reports, footer=footer)
     (out_dir / "report.txt").write_text(table)
-
-    rows = []
-    subset = samples[:4]
-    outs = {name: model_outputs(g, subset) for name, g in trained.items()}
-    for i, s in enumerate(subset):
-        row = [np.clip(s.input, -1, 1), render(task, s.target)]
-        for name in ("autoencoder", "unet", "vit-c"):
-            row.append(render(task, outs[name][i]))
-        rows.append(row)
-    montage(rows, out_dir / "comparison.ppm")
+    _write_montage(list(trained.values()), samples, out_dir / "comparison.ppm")
     print(table, end="")
     print(f"montage columns: input | target | autoencoder | unet | vit-c -> {out_dir / 'comparison.ppm'}")
     return 0
@@ -346,68 +345,38 @@ def cmd_compare(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+COMMANDS = {
+    "train": (cmd_train, "train one generator variant"),
+    "eval": (cmd_eval, "compute SSIM/FID/IS for a checkpoint"),
+    "infer": (cmd_infer, "run one image through a checkpoint"),
+    "compare": (cmd_compare, "train and compare vit-C, U-Net and Autoencoder"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with a flag for each key that it reads."""
     parser = argparse.ArgumentParser(
         prog="vit2img",
         description="Train and evaluate transformer-encoder image-to-image generators at desk scale.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, dataset=True, model=True, budget=True):
-        p.add_argument("--config", help="plain-text key = value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory for run artifacts")
-        if dataset:
-            p.add_argument("--synthetic", default=None,
-                           help="synthetic dataset spec, e.g. shapes:n=8 or depth:n=8,size=64")
-            p.add_argument("--manifest", default=None, help="manifest file of input/target pairs")
-            p.add_argument("--classes", type=int, default=None)
-        if model:
-            p.add_argument("--variant", choices=["A", "B", "C", "unet", "autoencoder"], default=None)
-            p.add_argument("--image-size", dest="image_size", type=int, default=None)
-            p.add_argument("--patch-size", dest="patch_size", type=int, default=None)
-            p.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
-            p.add_argument("--num-heads", dest="num_heads", type=int, default=None)
-            p.add_argument("--ffn-width", dest="ffn_width", type=int, default=None)
-            p.add_argument("--num-layers", dest="num_transformer_layers", type=int, default=None)
-            p.add_argument("--out-channels", dest="out_channels", type=int, default=None)
-        if budget:
-            p.add_argument("--epochs", type=int, default=None)
-            p.add_argument("--steps", type=int, default=None, help="cap on optimizer steps")
-            p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-            p.add_argument("--stop-loss", dest="stop_loss", type=float, default=None)
-
-    p_train = sub.add_parser("train", help="train one generator variant")
-    add_common(p_train)
-    p_train.add_argument("--montage-every", dest="montage_every", type=int, default=None,
-                         help="write a progress montage every k epochs")
-
-    p_eval = sub.add_parser("eval", help="compute SSIM/FID/IS for a checkpoint")
-    add_common(p_eval, model=False, budget=False)
-    p_eval.add_argument("--checkpoint", default=None)
-    p_eval.add_argument("--extractor", choices=["pixel", "proj", "tiny"], default=None)
-    p_eval.add_argument("--self-eval", dest="self_eval", action="store_true", default=None,
-                        help="score targets against themselves (sanity mode)")
-
-    p_infer = sub.add_parser("infer", help="run one image through a checkpoint")
-    p_infer.add_argument("--checkpoint", required=True)
-    p_infer.add_argument("--input", required=True, help="input PPM image")
-    p_infer.add_argument("--output", required=True, help="output PPM image")
-
-    p_cmp = sub.add_parser("compare", help="train and compare vit-C, U-Net and Autoencoder")
-    add_common(p_cmp)
-    p_cmp.add_argument("--extractor", choices=["pixel", "proj", "tiny"], default=None)
+    for command, (_, help_text) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        takes_config = command in SETTINGS["out"].commands  # a run directory's echo is a config file
+        if takes_config:  # otherwise each flag is its key's only source, so it is required
+            p.add_argument("--config", help="plain-text key = value config file")
+        for key, setting in SETTINGS.items():
+            if setting.flag and command in setting.commands:
+                kind = ({"action": "store_const", "const": "True"} if setting.parse is boolean
+                        else {"choices": setting.choices})
+                p.add_argument(setting.flag, dest=key, help=setting.help, required=not takes_config, **kind)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(args)  # picks up --checkpoint, a config key, like every other flag
-        if args.command == "infer":
-            cfg.values.update(input=args.input, output=args.output)
-        return {"train": cmd_train, "eval": cmd_eval, "infer": cmd_infer,
-                "compare": cmd_compare}[args.command](cfg)
+        return COMMANDS[args.command][0](RunConfig(args))
     except Vit2ImgError as e:
         print(f"error: {e}", file=sys.stderr)
         # The exit codes of the module docstring; any other error is a configuration error.

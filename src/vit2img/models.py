@@ -72,8 +72,8 @@ class ModelConfig:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if self.image_size <= 0 or self.out_channels <= 0:
-            raise ConfigError("image_size and out_channels must be positive")
+        if self.image_size <= 0 or self.out_channels <= 0 or self.seed < 0:
+            raise ConfigError("image_size and out_channels must be positive, seed nonnegative")
         if self.variant in ("A", "B", "C"):
             if min(self.patch_size, self.embed_dim, self.num_heads, self.ffn_width) <= 0 \
                     or self.num_transformer_layers < 0:

@@ -5,9 +5,12 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import record_heads
-from vit2img.cli import main, parse_config_file, parse_synthetic_spec
+from vit2img.cli import (SETTINGS, RunConfig, build_parser, main, parse_config_file,
+                         parse_synthetic_spec)
 from vit2img.data import (PALETTE, DatasetManifest, float_to_byte, load_image,
                           load_manifest_dataset, read_manifest, save_image,
                           write_manifest)
@@ -172,6 +175,16 @@ REJECTED = [
     ("compare-bogus-synthetic", ["compare", "--synthetic", "bogus", *TINY_MODEL], 2),
     ("compare-patch-size-5", ["compare", *SHAPES, *TINY_MODEL, "--patch-size", "5"], 2),
     ("compare-image-size-mismatch", ["compare", *SHAPES, *TINY_MODEL, "--image-size", "32"], 2),
+    ("train-empty-synthetic", ["train", "--synthetic", "shapes:n=0,size=16", *TINY_MODEL], 3),
+    ("eval-empty-synthetic", ["eval", "--checkpoint", "{ckpt}", "--synthetic", "shapes:n=0,size=16"], 3),
+    ("compare-empty-synthetic", ["compare", "--synthetic", "shapes:n=0,size=16", *TINY_MODEL], 3),
+    ("train-seed-negative", ["train", *SHAPES, *TINY_MODEL, "--seed", "-1"], 2),
+    ("eval-seed-negative", ["eval", "--checkpoint", "{ckpt}", *SHAPES, "--seed", "-1"], 2),
+    ("train-synthetic-seed-negative",
+     ["train", "--synthetic", "shapes:n=2,size=16,seed=-3", *TINY_MODEL], 2),
+    ("train-synthetic-unknown-option",
+     ["train", "--synthetic", "shapes:n=2,size=16,bogus=3", *TINY_MODEL], 2),
+    ("train-montage-every-negative", ["train", *SHAPES, *TINY_MODEL, "--montage-every", "-1"], 2),
 ]
 
 
@@ -183,6 +196,132 @@ def test_rejected_invocation_leaves_no_run_directory(tmp_path, tiny_checkpoint, 
     assert main([*argv, "--out", str(out)]) == code
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- the settings contract ---------------------------------------------------------
+# The keys each command reads, written out here rather than read from cli.SETTINGS,
+# so that these tests check the table instead of restating it.
+
+DATA_KEYS = {"out", "seed", "synthetic", "manifest", "classes", "task"}
+MODEL_KEYS = {"image_size", "patch_size", "embed_dim", "num_heads", "ffn_width",
+              "num_transformer_layers", "out_channels", "epochs", "steps", "batch_size"}
+READS = {
+    "train": DATA_KEYS | MODEL_KEYS | {"variant", "stop_loss", "montage_every"},
+    "eval": DATA_KEYS | {"checkpoint", "extractor", "self_eval"},
+    "infer": {"checkpoint", "input", "output"},
+    "compare": DATA_KEYS | MODEL_KEYS | {"extractor"},
+}
+CONFIGURABLE = ("train", "eval", "compare")  # infer takes no --config
+# A valid value of every key, and its flag (None: a config file is the only way to set it).
+VALID = {"out": "run", "seed": "1", "synthetic": "shapes:n=2,size=16", "manifest": "data.manifest",
+         "classes": "3", "task": "segmentation", "variant": "A", "image_size": "16",
+         "patch_size": "4", "embed_dim": "8", "num_heads": "2", "ffn_width": "8",
+         "num_transformer_layers": "1", "out_channels": "3", "epochs": "1", "steps": "1",
+         "batch_size": "2", "stop_loss": "0.5", "montage_every": "1", "checkpoint": "model.ckpt",
+         "extractor": "tiny", "self_eval": "True", "input": "in.ppm", "output": "out.ppm"}
+FLAGS = {key: "--" + key.replace("_", "-") for key in VALID} | {
+    "num_transformer_layers": "--num-layers", "task": None}
+VALID_RUN = {
+    "train": ["train", *SHAPES, *TINY_MODEL, "--steps", "1"],
+    "eval": ["eval", "--checkpoint", "{ckpt}", *SHAPES],
+    "compare": ["compare", *SHAPES, *TINY_MODEL, "--steps", "1"],
+}
+
+
+def flag_argv(key):
+    return [FLAGS[key]] if key == "self_eval" else [FLAGS[key], VALID[key]]
+
+
+def test_every_setting_is_covered():
+    assert set(SETTINGS) == set(VALID)
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c in CONFIGURABLE for k in sorted(VALID)
+                                          if k not in READS[c]])
+def test_unread_config_key_is_rejected(tmp_path, tiny_checkpoint, capsys, command, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {VALID[key]}\n")
+    out = tmp_path / "run"
+    argv = [a.format(ckpt=tiny_checkpoint) for a in VALID_RUN[command]]
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c in READS for k in sorted(VALID)
+                                          if k not in READS[c] and FLAGS[k]])
+def test_unread_key_has_no_flag(command, key):
+    # Among these: compare --variant and compare --stop-loss, which it no longer has.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *flag_argv(key)])
+    assert exc.value.code == 2
+
+
+def test_infer_takes_no_config_file(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["infer", "--config", str(tmp_path / "run.cfg")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c in CONFIGURABLE for k in sorted(READS[c])])
+def test_read_key_is_accepted_from_file_and_flag(tmp_path, command, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {VALID[key]}\n")
+    from_file = RunConfig(build_parser().parse_args([command, "--config", str(cfg)]))
+    assert list(from_file) == [key]
+    if FLAGS[key]:
+        assert RunConfig(build_parser().parse_args([command, *flag_argv(key)])) == from_file
+
+
+@pytest.mark.parametrize("command, line", [("eval", "extractor = bogus"),
+                                           ("compare", "extractor = bogus"),
+                                           ("train", "variant = Z"), ("train", "task = bogus"),
+                                           ("train", "seed = -1"), ("train", "montage_every = -2")])
+def test_config_value_out_of_range_is_rejected(tmp_path, tiny_checkpoint, capsys, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "run"
+    argv = [a.format(ckpt=tiny_checkpoint) for a in VALID_RUN[command]]
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+TEXT = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1).filter(
+    lambda s: s == s.strip())
+VALUES = {
+    **{key: TEXT for key in ("out", "manifest", "checkpoint", "input", "output")},
+    **{key: st.integers(-10**9, 10**9) for key in MODEL_KEYS | {"classes"}},
+    "seed": st.integers(0, 2**63),
+    "montage_every": st.integers(0, 10**9),
+    "synthetic": st.builds("{}:n={},size={}".format, st.sampled_from(["shapes", "depth"]),
+                           st.integers(0, 99), st.integers(0, 99)),
+    "task": st.sampled_from(["segmentation", "regression"]),
+    "variant": st.sampled_from(["A", "B", "C", "unet", "autoencoder"]),
+    "extractor": st.sampled_from(["pixel", "proj", "tiny"]),
+    "stop_loss": st.floats(allow_nan=False),
+    "self_eval": st.booleans(),
+}
+
+
+@st.composite
+def command_settings(draw):
+    command = draw(st.sampled_from(CONFIGURABLE))
+    return command, draw(st.fixed_dictionaries({}, optional={k: VALUES[k] for k in READS[command]}))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command_settings())
+def test_echo_parses_back_to_the_same_values(tmp_path, case):
+    command, values = case
+    cfg = RunConfig(build_parser().parse_args([command]))
+    cfg.update(values)
+    cfg.echo(tmp_path / "config.txt")
+    assert set(parse_config_file(tmp_path / "config.txt")) == set(values)
+    back = RunConfig(build_parser().parse_args([command, "--config", str(tmp_path / "config.txt")]))
+    typed = {key: (type(v), repr(v)) for key, v in values.items()}
+    assert {key: (type(v), repr(v)) for key, v in back.items()} == typed
 
 
 # --- eval --------------------------------------------------------------------------
@@ -268,6 +407,14 @@ def test_eval_regression_checkpoint(tmp_path):
     rc = main(["eval", "--checkpoint", str(out / "checkpoint.ckpt"),
                "--synthetic", "depth:n=0,size=16", "--out", str(tmp_path / "eval-empty")])
     assert rc == 3
+
+
+def test_eval_synthetic_size_defaults_to_checkpoint(tmp_path, tiny_checkpoint):
+    # tiny_checkpoint is 16 px; the spec gives no size.
+    out = tmp_path / "e"
+    assert main(["eval", "--checkpoint", str(tiny_checkpoint), "--synthetic", "shapes:n=2",
+                 "--out", str(out)]) == 0
+    assert "n_samples = 2" in (out / "metrics.kv").read_text()
 
 
 def test_eval_task_mismatch_exit_2(tmp_path):
@@ -395,6 +542,7 @@ MALFORMED = [
     ("header-not-object", bad_checkpoint(b'["config"]'), CheckpointFormatError),
     ("header-unknown-config-key", config_with(bogus=1), CheckpointFormatError),
     ("header-variant-z", config_with(variant="Z"), CheckpointFormatError),
+    ("header-seed-negative", config_with(seed=-1), CheckpointFormatError),
     ("param-nan", record_value("encoder.patch.bias", float("nan")), CheckpointFormatError),
     ("running-var-inf", record_value("decoder.stages.0.bn.running_var", float("inf")),
      CheckpointFormatError),
