@@ -45,6 +45,13 @@ def nonnegative(raw: str) -> int:
     return value
 
 
+def nonempty(raw: str) -> str:
+    """Parse a path: any text but the empty one, which names the current directory."""
+    if not raw:
+        raise ValueError(raw)
+    return raw
+
+
 class Setting(NamedTuple):
     parse: Callable[[str], object]
     commands: tuple[str, ...]  # the commands that read the key
@@ -56,11 +63,11 @@ class Setting(NamedTuple):
 DATA = ("train", "eval", "compare")  # the commands that read a dataset
 MODEL = ("train", "compare")         # the commands that build and train models
 SETTINGS = {
-    "out": Setting(str, DATA, "--out", "output directory for run artifacts"),
+    "out": Setting(nonempty, DATA, "--out", "output directory for run artifacts"),
     "seed": Setting(nonnegative, DATA, "--seed"),
     "synthetic": Setting(str, DATA, "--synthetic",
                          "synthetic dataset spec, e.g. shapes:n=8 or depth:n=8,size=64"),
-    "manifest": Setting(str, DATA, "--manifest", "manifest file of input/target pairs"),
+    "manifest": Setting(nonempty, DATA, "--manifest", "manifest file of input/target pairs"),
     "classes": Setting(int, DATA, "--classes"),
     "task": Setting(str, DATA, None, choices=TASKS),
     "variant": Setting(str, ("train",), "--variant", choices=VARIANTS),
@@ -77,12 +84,12 @@ SETTINGS = {
     "stop_loss": Setting(float, ("train",), "--stop-loss"),
     "montage_every": Setting(nonnegative, ("train",), "--montage-every",
                              "write a progress montage every k epochs"),
-    "checkpoint": Setting(str, ("eval", "infer"), "--checkpoint"),
+    "checkpoint": Setting(nonempty, ("eval", "infer"), "--checkpoint"),
     "extractor": Setting(str, ("eval", "compare"), "--extractor", choices=("pixel", "proj", "tiny")),
     "self_eval": Setting(boolean, ("eval",), "--self-eval",
                          "score targets against themselves (sanity mode)"),
-    "input": Setting(str, ("infer",), "--input", "input PPM image"),
-    "output": Setting(str, ("infer",), "--output", "output PPM image"),
+    "input": Setting(nonempty, ("infer",), "--input", "input PPM image"),
+    "output": Setting(nonempty, ("infer",), "--output", "output PPM image"),
 }
 
 
@@ -159,12 +166,16 @@ def resolve_dataset(cfg: RunConfig, size: int) -> tuple[list[PairedSample], str,
         raise ConfigError("pass either --synthetic or --manifest, not both")
     if cfg.get("synthetic"):
         kind, opts = parse_synthetic_spec(cfg.get("synthetic"))
+        if kind != "shapes" and ("classes" in cfg or "classes" in opts):
+            raise ConfigError(f"classes applies to shapes datasets only, not to {kind!r}")
         image_size = opts.get("size", cfg.get("image_size", size))
         classes = opts.get("classes", cfg.get("classes", 3))
         seed = opts.get("seed", cfg.get("seed", ModelConfig.seed))
         samples = make_synthetic(kind, opts.get("n", 8), image_size, seed, classes)
         task = "segmentation" if kind == "shapes" else "regression"
     elif cfg.get("manifest"):
+        if "classes" in cfg:
+            raise ConfigError("classes applies to shapes datasets only; a manifest gives its own")
         manifest = read_manifest(cfg.get("manifest"))
         samples = load_manifest_dataset(manifest)
         task, classes, image_size = manifest.task, manifest.classes, manifest.image_size

@@ -17,14 +17,14 @@ graph may be walked twice; a training loop drops its loss right after
 ``backward`` so that the next step's forward does not run beside the old
 tape.
 
-What the tape keeps is kept small.  ``conv2d`` keeps its input and kernel
-tensors but no patch matrix.  At stride 1, when the padded grid has at most
-10% more pixels than the output ((Ho+K-1)*(Wo+K-1) <= 1.1*Ho*Wo, a property
-of the shape), it correlates by shifted GEMMs over one flat padded buffer
-(``_correlate``): no K*K copy exists, and its backward rebuilds the buffer
-for dW and runs ``_correlate`` on the gradient for dx.  Elsewhere it uses
-im2col (K*K times the input), and its backward rebuilds the matrix for the
-dW GEMM, then overwrites it with the patch gradients of the dx GEMM.
+What the tape keeps is kept small.  Both convolutions keep their input and
+kernel tensors but no patch matrix.  They share three private kernels over one
+kernel array W.  conv2d runs ``_correlate`` forward, then ``_kernel_grad`` (dW,
+first, so one patch-sized array exists at a time) and ``_correlate_adjoint``
+(dx); conv2d_transpose runs ``_correlate_adjoint`` forward, then ``_correlate``
+(dx) and ``_kernel_grad`` (dW) on one ``_patches`` of g.  At stride 1, when the
+padded grid has at most 10% more pixels than the output ((Ho+K-1)*(Wo+K-1) <=
+1.1*Ho*Wo), patches are a flat padded buffer for shifted GEMMs, else im2col.
 ``relu`` and ``leaky_relu`` keep a 1-byte mask of the positive inputs, not
 the 8-byte input.  ``layer_norm`` and both ``batch_norm`` modes share one
 kernel: one node keeping the normalized input and the per-statistic inverse
@@ -507,10 +507,16 @@ def _conv_geometry(h: int, w: int, k: int, stride: int, padding: str):
     return ho, wo, pt, pb, pl, pr
 
 
-def _im2col(xpad: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Copy the padded NHWC input's [N, Ho, Wo, K, K, C] patches into a new,
-    writeable C-contiguous array (a copy even when the patches are the input)."""
-    n, _, _, c = xpad.shape
+def _shifted(ho: int, wo: int, k: int, stride: int) -> bool:
+    """Shifted GEMMs compute the whole padded grid: past 10% waste, im2col's one GEMM is faster."""
+    return stride == 1 and (ho + k - 1) * (wo + k - 1) <= 1.1 * ho * wo
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, pads, ho: int, wo: int) -> np.ndarray:
+    """The [N*Ho*Wo, K*K*C] patch matrix of NHWC ``x`` zero-padded by
+    ``pads = (top, bottom, left, right)``, rows in [N, Ho, Wo] order."""
+    n, _, _, c = x.shape
+    xpad = np.pad(x, ((0, 0), pads[:2], pads[2:], (0, 0)))
     sn, sh, sw, sc = xpad.strides
     view = np.lib.stride_tricks.as_strided(
         xpad,
@@ -518,17 +524,7 @@ def _im2col(xpad: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarr
         strides=(sn, sh * stride, sw * stride, sh, sw, sc),
         writeable=False,
     )
-    return view.copy()
-
-
-def _col2im(cols: np.ndarray, xpad_shape, stride: int) -> np.ndarray:
-    """Scatter-add [N, Ho, Wo, K, K, C] patches back onto a padded canvas."""
-    n, ho, wo, k, _, c = cols.shape
-    out = np.zeros(xpad_shape, dtype=np.float64)
-    for ki in range(k):
-        for kj in range(k):
-            out[:, ki:ki + ho * stride:stride, kj:kj + wo * stride:stride, :] += cols[:, :, :, ki, kj, :]
-    return out
+    return view.reshape(n * ho * wo, k * k * c)
 
 
 def _flat_pad(x: np.ndarray, pads, k: int):
@@ -543,20 +539,24 @@ def _flat_pad(x: np.ndarray, pads, k: int):
     return flat, hp, wp
 
 
-def _correlate(x: np.ndarray, w: np.ndarray, pads) -> np.ndarray:
-    """Stride-1 cross-correlation of NHWC ``x``, zero-padded by ``pads``, with a
-    [K, K, Cin, Cout] kernel, by shifted GEMMs (the accumulating kn2row scheme,
-    Vasudevan et al. 2017, arXiv 1704.04428).
+def _patches(x: np.ndarray, k: int, stride: int, pads, ho: int, wo: int):
+    """NHWC ``x`` zero-padded for the taps of a correlation to Ho x Wo outputs:
+    ``_flat_pad``'s (buffer, Hp, Wp) on shifted shapes, else the ``_im2col`` matrix."""
+    if _shifted(ho, wo, k, stride):
+        return _flat_pad(x, pads, k)
+    return _im2col(x, k, stride, pads, ho, wo)
 
-    Output pixel (i, j) of the padded Hp x Wp grid is row ``i*Wp + j`` of
-    ``sum over (ki, kj) of flat[ki*Wp + kj:][:N*Hp*Wp] @ w[ki, kj]``: each tap is
-    a GEMM over a contiguous row-shifted view of the flat buffer, so no K*K
-    patch matrix exists.  The rows beyond the valid Ho x Wo are cropped.
-    """
-    n = x.shape[0]
-    k, _, _, cout = w.shape
-    flat, hp, wp = _flat_pad(x, pads, k)
-    rows = n * hp * wp
+
+def _correlate(p, w: np.ndarray, ho: int, wo: int) -> np.ndarray:
+    """Cross-correlation of ``_patches`` ``p`` with a [K, K, Cin, Cout] kernel, to [N, Ho, Wo, Cout].
+    Shifted shapes sum one GEMM per tap over a row-shifted view of the flat buffer
+    (the accumulating kn2row scheme, Vasudevan et al. 2017, arXiv 1704.04428): output
+    pixel (i, j) of the Hp x Wp grid is row ``i*Wp + j``; rows beyond Ho x Wo are cropped."""
+    k, _, cin, cout = w.shape
+    if isinstance(p, np.ndarray):
+        return (p @ w.reshape(k * k * cin, cout)).reshape(-1, ho, wo, cout)
+    flat, hp, wp = p
+    rows = len(flat) - (k - 1) * (wp + 1)  # N*Hp*Wp, without the zero tail
     acc = np.matmul(flat[:rows], w[0, 0])
     part = np.empty_like(acc)
     for ki in range(k):
@@ -564,118 +564,106 @@ def _correlate(x: np.ndarray, w: np.ndarray, pads) -> np.ndarray:
             if ki or kj:
                 off = ki * wp + kj
                 acc += np.matmul(flat[off:off + rows], w[ki, kj], out=part)
-    return np.ascontiguousarray(acc.reshape(n, hp, wp, cout)[:, :hp - k + 1, :wp - k + 1])
+    return np.ascontiguousarray(acc.reshape(-1, hp, wp, cout)[:, :ho, :wo])
+
+
+def _correlate_adjoint(g: np.ndarray, w: np.ndarray, stride: int, pads, h: int, wd: int) -> np.ndarray:
+    """The adjoint of ``_correlate`` in ``x``, from [N, Ho, Wo, Cout] ``g`` to [N, H, W, Cin]:
+    on shifted shapes the correlation of ``g`` with the flipped, transposed kernel (H x W
+    >= Ho x Wo, so shifted too), else patch gradients scatter-added onto the padded grid."""
+    n, ho, wo, cout = g.shape
+    k, _, cin, _ = w.shape
+    pt, pb, pl, pr = pads
+    if _shifted(ho, wo, k, stride):
+        back = (k - 1 - pt, k - 1 - pb, k - 1 - pl, k - 1 - pr)
+        return _correlate(_patches(g, k, 1, back, h, wd), w[::-1, ::-1].swapaxes(2, 3), h, wd)
+    dcols = g.reshape(n * ho * wo, cout) @ w.reshape(k * k * cin, cout).T
+    dcols = dcols.reshape(n, ho, wo, k, k, cin)
+    dxpad = np.zeros((n, h + pt + pb, wd + pl + pr, cin))
+    for ki in range(k):
+        for kj in range(k):
+            dxpad[:, ki:ki + ho * stride:stride, kj:kj + wo * stride:stride] += dcols[:, :, :, ki, kj]
+    return np.ascontiguousarray(dxpad[:, pt:pt + h, pl:pl + wd])
+
+
+def _kernel_grad(p, g: np.ndarray, k: int) -> np.ndarray:
+    """The [K, K, Cin, Cout] gradient of ``_correlate`` in ``w``, for ``_patches`` ``p`` and
+    [N, Ho, Wo, Cout] ``g``: one GEMM per tap on shifted shapes, else one im2col GEMM."""
+    n, ho, wo, cout = g.shape
+    if isinstance(p, np.ndarray):
+        return (p.T @ g.reshape(n * ho * wo, cout)).reshape(k, k, -1, cout)
+    flat, hp, wp = p
+    rows = n * hp * wp
+    # g on the padded grid, zero on the rows the forward cropped away.
+    g_wide = np.zeros((n, hp, wp, cout))
+    g_wide[:, :ho, :wo] = g
+    g_wide = g_wide.reshape(rows, cout)
+    dw = np.empty((k, k, flat.shape[1], cout))
+    for ki in range(k):
+        for kj in range(k):
+            off = ki * wp + kj
+            np.matmul(flat[off:off + rows].T, g_wide, out=dw[ki, kj])
+    return dw
+
+
+def _conv_args(op: str, x, w, b, cin_axis: int) -> tuple[Tensor, Tensor, Tensor | None]:
+    """Check a 4-D input, a square 4-D kernel with the input channels on axis ``cin_axis``
+    (2 for conv2d, 3 for conv2d_transpose) and a bias over its other channel axis."""
+    x, w = as_tensor(x), as_tensor(w)
+    if x.data.ndim != 4 or w.data.ndim != 4:
+        raise DimensionError(f"{op}: expected 4-D input and kernel, got {x.shape} and {w.shape}")
+    if w.shape[0] != w.shape[1] or w.shape[cin_axis] != x.shape[3]:
+        raise DimensionError(f"{op}: kernel {w.shape} does not match input channels of {x.shape}")
+    cout = w.shape[5 - cin_axis]
+    b = as_tensor(b) if b is not None else None
+    if b is not None and b.shape != (cout,):
+        raise DimensionError(f"{op}: bias {b.shape} does not match {cout} output channels")
+    return x, w, b
+
+
+def _conv_node(out: np.ndarray, x: Tensor, w: Tensor, b: Tensor | None, grads) -> Tensor:
+    """Add the bias in place; one tape node whose backward is ``grads(g)`` = (dx, dW) [+ db]."""
+    if b is None:
+        return _make(out, (x, w), grads)
+    out += b.data
+    return _make(out, (x, w, b), lambda g: (*grads(g), g.reshape(-1, g.shape[-1]).sum(axis=0)))
 
 
 def conv2d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     """2-D cross-correlation over NHWC input with a [K, K, Cin, Cout] kernel."""
-    x, w = as_tensor(x), as_tensor(w)
-    if x.data.ndim != 4 or w.data.ndim != 4:
-        raise DimensionError(f"conv2d: expected 4-D input and kernel, got {x.shape} and {w.shape}")
-    n, h, wd, cin = x.shape
-    k, k2, wcin, cout = w.shape
-    if k != k2 or wcin != cin:
-        raise DimensionError(f"conv2d: kernel {w.shape} does not match input channels of {x.shape}")
-    b = as_tensor(b) if b is not None else None
-    if b is not None and b.shape != (cout,):
-        raise DimensionError(f"conv2d: bias {b.shape} does not match {cout} output channels")
-
-    ho, wo, pt, pb, pl, pr = _conv_geometry(h, wd, k, stride, padding)
-    pads = (pt, pb, pl, pr)
-    # Shifted GEMMs compute every row of the padded grid and keep ho*wo of
-    # them; past 10% waste, im2col's one large GEMM is the faster kernel.
-    shifted = stride == 1 and (ho + k - 1) * (wo + k - 1) <= 1.1 * ho * wo
-
-    def patches():
-        # The im2col matrix is K*K times the input, so it is rebuilt in
-        # backward rather than kept on the tape; same bytes, same GEMMs.
-        xpad = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-        return _im2col(xpad, k, stride, ho, wo).reshape(n * ho * wo, k * k * cin)
-
-    if shifted:
-        out = _correlate(x.data, w.data, pads)
-    else:
-        out = (patches() @ w.data.reshape(k * k * cin, cout)).reshape(n, ho, wo, cout)
-    if b is not None:
-        out += b.data
+    x, w, b = _conv_args("conv2d", x, w, b, 2)
+    _, h, wd, _ = x.shape
+    k = w.shape[0]
+    ho, wo, *pads = _conv_geometry(h, wd, k, stride, padding)
 
     def grad(g):
-        g2 = g.reshape(n * ho * wo, cout)
-        db = g2.sum(axis=0) if b is not None else None
-        if shifted:
-            flat, hp, wp = _flat_pad(x.data, pads, k)
-            rows = n * hp * wp
-            # g on the padded grid, zero on the rows the forward cropped away.
-            g_wide = np.zeros((n, hp, wp, cout))
-            g_wide[:, :ho, :wo] = g
-            g_wide = g_wide.reshape(rows, cout)
-            dw = np.empty(w.shape)
-            for ki in range(k):
-                for kj in range(k):
-                    off = ki * wp + kj
-                    np.matmul(flat[off:off + rows].T, g_wide, out=dw[ki, kj])
-            del flat, g_wide
-            # dx is the full correlation of g with the flipped, transposed kernel.
-            back = (k - 1 - pt, k - 1 - pb, k - 1 - pl, k - 1 - pr)
-            return _correlate(g, w.data[::-1, ::-1].swapaxes(2, 3), back), dw, db
-        cols = patches()
-        dw = (cols.T @ g2).reshape(w.shape)
-        # The patch gradients reuse the patch buffer: one K*K-sized array at a time.
-        dcols = np.matmul(g2, w.data.reshape(k * k * cin, cout).T, out=cols)
-        dcols = dcols.reshape(n, ho, wo, k, k, cin)
-        dxpad = _col2im(dcols, (n, h + pt + pb, wd + pl + pr, cin), stride)
-        dx = dxpad[:, pt:pt + h, pl:pl + wd, :]
-        return np.ascontiguousarray(dx), dw, db
+        dw = _kernel_grad(_patches(x.data, k, stride, pads, ho, wo), g, k)
+        return _correlate_adjoint(g, w.data, stride, pads, h, wd), dw
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(out, parents, grad)
+    out = _correlate(_patches(x.data, k, stride, pads, ho, wo), w.data, ho, wo)
+    return _conv_node(out, x, w, b, grad)
 
 
 def conv2d_transpose(x, w, b=None, stride: int = 2, padding: str = "same") -> Tensor:
-    """Fractionally-strided convolution: the gradient map of conv2d.
-
-    Kernel layout is [K, K, Cout, Cin].  With 'same' padding the output
-    spatial size is exactly stride times the input size (kernel >= stride
-    required so the implied padding is nonnegative).
-    """
-    x, w = as_tensor(x), as_tensor(w)
-    if x.data.ndim != 4 or w.data.ndim != 4:
-        raise DimensionError(f"conv2d_transpose: expected 4-D input and kernel, got {x.shape} and {w.shape}")
-    n, h, wd, cin = x.shape
-    k, k2, cout, wcin = w.shape
-    if k != k2 or wcin != cin:
-        raise DimensionError(f"conv2d_transpose: kernel {w.shape} does not match input channels of {x.shape}")
+    """Fractionally-strided convolution: the adjoint in x of conv2d with the same
+    kernel array.  With 'same' padding the output is exactly stride times the input
+    size (kernel >= stride required so the implied padding is nonnegative)."""
+    x, w, b = _conv_args("conv2d_transpose", x, w, b, 3)
     if padding != "same":
         raise ContractError("conv2d_transpose supports 'same' padding only")
+    k = w.shape[0]
     if k < stride:
         raise DimensionError(f"conv2d_transpose: kernel {k} smaller than stride {stride}")
-    b = as_tensor(b) if b is not None else None
-    if b is not None and b.shape != (cout,):
-        raise DimensionError(f"conv2d_transpose: bias {b.shape} does not match {cout} output channels")
-
-    ho, wo = h * stride, wd * stride
-    # Padding of the equivalent forward conv (output -> input direction).
-    _, pt, pb = _same_pad(ho, k, stride)
-    _, pl, pr = _same_pad(wo, k, stride)
-    w2 = w.data.reshape(k * k * cout, cin)
-
-    cols = (x.data.reshape(n * h * wd, cin) @ w2.T).reshape(n, h, wd, k, k, cout)
-    opad = _col2im(cols, (n, ho + pt + pb, wo + pl + pr, cout), stride)
-    out = opad[:, pt:pt + ho, pl:pl + wo, :]
-    if b is not None:
-        out = out + b.data
-    out = np.ascontiguousarray(out)
+    _, h, wd, _ = x.shape
+    # The pads of that conv2d, which maps this op's output back to x's shape.
+    _, _, *pads = _conv_geometry(h * stride, wd * stride, k, stride, "same")
 
     def grad(g):
-        gpad = np.pad(g, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-        gcols = _im2col(gpad, k, stride, h, wd).reshape(n * h * wd, k * k * cout)
-        dx = (gcols @ w2).reshape(n, h, wd, cin)
-        dw = (gcols.T @ x.data.reshape(n * h * wd, cin)).reshape(w.shape)
-        db = g.sum(axis=(0, 1, 2)) if b is not None else None
-        return dx, dw, db
+        p = _patches(g, k, stride, pads, h, wd)
+        return _correlate(p, w.data, h, wd), _kernel_grad(p, x.data, k)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(out, parents, grad)
+    out = _correlate_adjoint(x.data, w.data, stride, pads, h * stride, wd * stride)
+    return _conv_node(out, x, w, b, grad)
 
 
 # ---------------------------------------------------------------------------

@@ -185,17 +185,32 @@ REJECTED = [
     ("train-synthetic-unknown-option",
      ["train", "--synthetic", "shapes:n=2,size=16,bogus=3", *TINY_MODEL], 2),
     ("train-montage-every-negative", ["train", *SHAPES, *TINY_MODEL, "--montage-every", "-1"], 2),
+    ("train-empty-out", ["train", *SHAPES, *TINY_MODEL, "--out", ""], 2),
+    ("train-empty-out-in-config", ["train", "--config", "{tmp}/empty-out.cfg", *SHAPES, *TINY_MODEL], 2),
+    ("eval-empty-checkpoint", ["eval", "--checkpoint", "", *SHAPES], 2),
+    ("train-classes-with-depth",
+     ["train", "--synthetic", "depth:n=2,size=16", *TINY_MODEL, "--classes", "7"], 2),
+    ("train-classes-option-with-depth", ["train", "--synthetic", "depth:n=2,size=16,classes=7", *TINY_MODEL], 2),
+    ("train-classes-with-manifest", ["train", "--manifest", "{tmp}/none.manifest", *TINY_MODEL, "--classes", "3"], 2),
 ]
 
 
 @pytest.mark.parametrize("argv, code", [case[1:] for case in REJECTED],
                          ids=[case[0] for case in REJECTED])
-def test_rejected_invocation_leaves_no_run_directory(tmp_path, tiny_checkpoint, capsys, argv, code):
+def test_rejected_invocation_leaves_no_run_directory(tmp_path, tiny_checkpoint, capsys, monkeypatch,
+                                                     argv, code):
+    # A row may set out itself, by flag or config file, and an empty out is
+    # the current directory: run in tmp_path and check that nothing is added.
+    (tmp_path / "empty-out.cfg").write_text("out = \n")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
     out = tmp_path / "run"
     argv = [a.format(tmp=tmp_path, ckpt=tiny_checkpoint) for a in argv]
-    assert main([*argv, "--out", str(out)]) == code
+    sets_out = "--out" in argv or "--config" in argv
+    assert main(argv if sets_out else [*argv, "--out", str(out)]) == code
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+    assert sorted(tmp_path.iterdir()) == before
 
 
 # --- the settings contract ---------------------------------------------------------

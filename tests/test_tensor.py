@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vit2img.tensor as T
 from conftest import check_gradients
@@ -411,6 +413,52 @@ def test_conv2d_gradients_match_explicit_cols(rng, stride, padding, k):
     np.testing.assert_array_equal(bt.grad, db)
 
 
+def conv2d_transpose_explicit_cols(x, w, b, g, stride):
+    """out, dx, dW, db of conv2d_transpose from matrices built here, step by step.
+
+    Forward: one GEMM to [N, H, W, K, K, Cout] patch values, scatter-added over
+    (ki, kj) onto the padded output, then cropped.  Backward: pad g, copy its
+    strided patches into a matrix, and one GEMM each for dx and dW.
+    """
+    n, h, wd, cin = x.shape
+    k, _, cout, _ = w.shape
+    ho, wo = h * stride, wd * stride
+    pt, pl = (k - stride) // 2, (k - stride) // 2
+    pb, pr = k - stride - pt, k - stride - pl
+    x2 = x.reshape(n * h * wd, cin)
+    w2 = w.reshape(k * k * cout, cin)
+    cols = (x2 @ w2.T).reshape(n, h, wd, k, k, cout)
+    opad = np.zeros((n, ho + pt + pb, wo + pl + pr, cout))
+    for ki in range(k):
+        for kj in range(k):
+            opad[:, ki:ki + h * stride:stride, kj:kj + wd * stride:stride, :] += cols[:, :, :, ki, kj, :]
+    out = opad[:, pt:pt + ho, pl:pl + wo, :] + b
+    gpad = np.zeros(opad.shape)
+    gpad[:, pt:pt + ho, pl:pl + wo, :] = g
+    gcols = np.empty((n, h, wd, k, k, cout))
+    for i in range(h):
+        for j in range(wd):
+            gcols[:, i, j] = gpad[:, i * stride:i * stride + k, j * stride:j * stride + k, :]
+    gcols = gcols.reshape(n * h * wd, k * k * cout)
+    dx = (gcols @ w2).reshape(x.shape)
+    dw = (gcols.T @ x2).reshape(w.shape)
+    return out, dx, dw, g.reshape(-1, cout).sum(axis=0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_conv2d_transpose_gradients_match_explicit_cols(rng, k):
+    x = rng.normal(size=(2, 5, 4, 3))
+    w = rng.normal(size=(k, k, 4, 3))
+    b = rng.normal(size=4)
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = T.conv2d_transpose(xt, wt, bt, 2, "same")
+    g = rng.normal(size=out.shape)
+    T.backward(T.sum_(T.mul(out, Tensor(g))))
+    want = conv2d_transpose_explicit_cols(x, w, b, g, 2)
+    for got, expected in zip((out.data, xt.grad, wt.grad, bt.grad), want):
+        np.testing.assert_array_equal(got, expected)
+
+
 def shifted_path(ho, wo, k):
     """conv2d's rule for the stride-1 shifted-GEMM path: at most 10% of the
     padded grid's rows are computed and cropped away."""
@@ -465,6 +513,84 @@ def test_conv2d_is_adjoint_of_conv2d_transpose(rng, stride, k, size, shifted):
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
+def assert_adjoint(lhs, rhs, scale):
+    """<A x, y> = <x, A* y> to 1e-12 of ||A x|| ||y||, which bounds both sides."""
+    assert abs(lhs - rhs) <= 1e-12 * scale, (lhs, rhs)
+
+
+def pairings(op, inputs, seed):
+    """<op(xs), y> for a random y, each <x_i, backward(y)_i>, and ||op(xs)|| ||y||."""
+    ts = [Tensor(a, requires_grad=True) for a in inputs]
+    out = op(*ts)
+    y = np.random.default_rng(seed).normal(size=out.shape)
+    inner = [np.vdot(t.data, adj) for t, adj in zip(ts, out._backward(y))]
+    return np.vdot(out.data, y), inner, np.linalg.norm(out.data) * np.linalg.norm(y)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+# conv2d output sizes on both sides of the shifted rule for k = 2, 3 and 4.
+SIDES = st.one_of(st.integers(1, 12), st.integers(60, 72))
+
+
+@settings(deadline=None)
+@given(k=st.integers(2, 4), stride=st.integers(1, 2), ho=SIDES, wo=SIDES,
+       cin=st.integers(1, 3), cout=st.integers(1, 3), seed=SEEDS)
+@example(k=4, stride=1, ho=66, wo=70, cin=2, cout=3, seed=0)
+@example(k=2, stride=1, ho=24, wo=22, cin=1, cout=2, seed=1)
+def test_conv2d_transpose_is_adjoint_of_conv2d(k, stride, ho, wo, cin, cout, seed):
+    # Forward ops only: conv2d against conv2d_transpose with the same array, on
+    # inputs stride times the output, the sizes conv2d_transpose maps back to.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(1, ho * stride, wo * stride, cin))
+    w = rng.normal(size=(k, k, cin, cout))
+    ax = T.conv2d(Tensor(x), Tensor(w), None, stride, "same").data
+    y = rng.normal(size=ax.shape)
+    aty = T.conv2d_transpose(Tensor(y), Tensor(w), None, stride, "same").data
+    assert_adjoint(np.vdot(ax, y), np.vdot(x, aty), np.linalg.norm(ax) * np.linalg.norm(y))
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 2), h=st.integers(1, 6), wd=st.integers(1, 6), c=st.integers(1, 3),
+       grow_h=st.integers(0, 9), grow_w=st.integers(0, 9), seed=SEEDS)
+def test_bilinear_upsample_backward_is_its_adjoint(n, h, wd, c, grow_h, grow_w, seed):
+    x = np.random.default_rng(seed).normal(size=(n, h, wd, c))
+    lhs, (rhs,), scale = pairings(lambda t: T.bilinear_upsample(t, h + grow_h, wd + grow_w), [x], seed + 1)
+    assert_adjoint(lhs, rhs, scale)
+
+
+@settings(deadline=None)
+@given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=4), data=st.data(), seed=SEEDS)
+def test_transpose_backward_is_its_adjoint(shape, data, seed):
+    axes = data.draw(st.permutations(range(len(shape))))
+    x = np.random.default_rng(seed).normal(size=shape)
+    lhs, (rhs,), scale = pairings(lambda t: T.transpose(t, axes), [x], seed + 1)
+    assert_adjoint(lhs, rhs, scale)
+
+
+@settings(deadline=None)
+@given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data(), seed=SEEDS)
+def test_concat_backward_is_its_adjoint(shape, data, seed):
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    lengths = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    rng = np.random.default_rng(seed)
+    xs = [rng.normal(size=[m if i == axis % len(shape) else d for i, d in enumerate(shape)])
+          for m in lengths]
+    lhs, inner, scale = pairings(lambda *ts: T.concat(ts, axis), xs, seed + 1)
+    assert_adjoint(lhs, sum(inner), scale)  # linear in all inputs together
+
+
+@settings(deadline=None)
+@given(m=st.integers(1, 4), inner=st.integers(1, 4), p=st.integers(1, 4),
+       batch=st.sampled_from([((), ()), ((3,), ()), ((2, 3), (3,)), ((1,), (2,))]), seed=SEEDS)
+def test_matmul_backward_is_its_adjoint_in_each_argument(m, inner, p, batch, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(*batch[0], m, inner))
+    b = rng.normal(size=(*batch[1], inner, p))
+    lhs, (in_a, in_b), scale = pairings(T.matmul, [a, b], seed + 1)
+    assert_adjoint(lhs, in_a, scale)  # linear in a for a fixed b
+    assert_adjoint(lhs, in_b, scale)  # and in b for a fixed a
+
+
 def closure_arrays(fn, seen=None):
     """Every ndarray a backward closure can reach: its cells, the data and
     grad of tensors in them, and nested closures, without walking the graph."""
@@ -487,15 +613,18 @@ def closure_arrays(fn, seen=None):
     return found
 
 
-@pytest.mark.parametrize("stride,padding,shape", [
-    (1, "same", (2, 9, 9, 4)), (2, "same", (2, 9, 9, 4)), (1, "valid", (2, 9, 9, 4)),
-    (1, "same", (1, 48, 48, 4)),
-], ids=["1-same", "2-same", "1-valid", "1-same-shifted"])
-def test_conv2d_backward_keeps_no_patch_matrix(rng, stride, padding, shape):
+@pytest.mark.parametrize("op,stride,padding,shape", [
+    (T.conv2d, 1, "same", (2, 9, 9, 4)), (T.conv2d, 2, "same", (2, 9, 9, 4)),
+    (T.conv2d, 1, "valid", (2, 9, 9, 4)), (T.conv2d, 1, "same", (1, 48, 48, 4)),
+    (T.conv2d_transpose, 2, "same", (2, 9, 9, 4)),
+], ids=["1-same", "2-same", "1-valid", "1-same-shifted", "transpose-2-same"])
+def test_conv2d_backward_keeps_no_patch_matrix(rng, op, stride, padding, shape):
     n, h, wd, c = shape
     x = Tensor(rng.normal(size=shape), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 3, 4, 5)), requires_grad=True)
-    out = T.conv2d(x, w, Tensor(np.zeros(5)), stride, padding)
+    # The same input and output channels: conv2d_transpose's kernel is [K, K, Cout, Cin].
+    kernel = (3, 3, 4, 5) if op is T.conv2d else (3, 3, 5, 4)
+    w = Tensor(rng.normal(size=kernel), requires_grad=True)
+    out = op(x, w, Tensor(np.zeros(5)), stride, padding)
     pad = 2 if padding == "same" else 0
     xpad_bytes = n * (h + pad) * (wd + pad) * c * 8
     limit = max(xpad_bytes, out.data.nbytes)
