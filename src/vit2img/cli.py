@@ -170,6 +170,8 @@ def resolve_dataset(cfg: RunConfig, size: int) -> tuple[list[PairedSample], str,
             raise ConfigError(f"classes applies to shapes datasets only, not to {kind!r}")
         image_size = opts.get("size", cfg.get("image_size", size))
         classes = opts.get("classes", cfg.get("classes", 3))
+        if classes < 2:
+            raise ConfigError(f"classes must be at least 2 for a shapes dataset, got {classes}")
         seed = opts.get("seed", cfg.get("seed", ModelConfig.seed))
         samples = make_synthetic(kind, opts.get("n", 8), image_size, seed, classes)
         task = "segmentation" if kind == "shapes" else "regression"

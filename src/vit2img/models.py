@@ -121,12 +121,15 @@ class ModelConfig:
 
 
 class Generator(Module):
-    """A built model: parameters plus a variant-dispatched forward pass."""
+    """A built model: parameters plus a variant-dispatched forward pass.
 
-    def __init__(self, config: ModelConfig):
+    Initial values come from ``rng.uniform`` and ``rng.normal``, by default
+    of ``np.random.default_rng(config.seed)``."""
+
+    def __init__(self, config: ModelConfig, rng=None):
         super().__init__()
         self.config = config.validated()
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed) if rng is None else rng
         if config.variant in ("A", "B", "C"):
             self._build_vit(rng)
         else:
@@ -254,6 +257,15 @@ class Generator(Module):
         return {name: p.shape for name, p in self.named_parameters()}
 
 
+class _NoDraws:
+    """An initial-value source that draws nothing: each array it gives is
+    unfilled, for ``load_checkpoint`` to replace with the file's."""
+
+    def uniform(self, low, high, size):
+        return np.empty(size)
+    normal = uniform  # (loc, scale, size)
+
+
 def build_generator(config: ModelConfig) -> Generator:
     """Build any variant (A, B, C) or baseline from a validated config."""
     return Generator(config)
@@ -278,6 +290,10 @@ def build_generator(config: ModelConfig) -> Generator:
 # returned.  Any other fault (version, header, record layout, truncation) is
 # reported only once the whole-file CRC has matched; on that path the CRC is
 # taken by a second read.  Parameter and buffer values must be finite.
+#
+# The model is built from the header's config without drawing initial values
+# (the file replaces them all), so every parameter and buffer record must be
+# present, with the model's shape, before the model is returned.
 
 CHECKPOINT_MAGIC = b"V2IG"
 CHECKPOINT_VERSION = 1
@@ -497,7 +513,7 @@ def load_checkpoint(path, with_state: bool = False):
     the generator.
     """
     config, records = _read_records(path)
-    gen = Generator(config)
+    gen = Generator(config, rng=_NoDraws())
     file_params = {n for n, (k, _) in records.items() if k == KIND_PARAM}
     file_buffers = {n for n, (k, _) in records.items() if k == KIND_BUFFER}
     model_params = {n for n, _ in gen.named_parameters()}
@@ -509,22 +525,25 @@ def load_checkpoint(path, with_state: bool = False):
             f"{path}: parameter name set does not match its own config "
             f"(missing {missing[:4]}, unexpected {extra[:4]})"
         )
-    for name, p in gen.named_parameters():
-        kind, arr = records[name]
-        if arr.shape != p.shape:
+
+    def stored(name, shape):
+        arr = records[name][1]
+        if arr.shape != shape:
             raise CheckpointMismatchError(
-                f"{path}: stored {name} has shape {arr.shape}, model expects {p.shape}"
+                f"{path}: stored {name} has shape {arr.shape}, model expects {shape}"
             )
-        p.data = np.ascontiguousarray(arr)
+        return arr
+
+    for name, p in gen.named_parameters():
+        p.data = np.ascontiguousarray(stored(name, p.shape))
     for name, buf in gen.named_buffers():
-        _, arr = records[name]
-        buf[...] = arr
+        buf[...] = stored(name, buf.shape)
     if not with_state:
         return gen
     state = None
     if "adam.t" in records:
         moments = {}
-        for name in model_params:
+        for name, _ in gen.named_parameters():
             m = records.get(f"adam.m.{name}")
             v = records.get(f"adam.v.{name}")
             if m is not None and v is not None:

@@ -14,10 +14,10 @@ from vit2img.cli import (SETTINGS, RunConfig, build_parser, main, parse_config_f
 from vit2img.data import (PALETTE, DatasetManifest, float_to_byte, load_image,
                           load_manifest_dataset, read_manifest, save_image,
                           write_manifest)
-from vit2img.errors import (CheckpointFormatError, ConfigError, DataError,
-                            DecodeError)
-from vit2img.models import (ModelConfig, build_generator, load_checkpoint,
-                            save_checkpoint)
+from vit2img.errors import (CheckpointFormatError, CheckpointMismatchError, ConfigError,
+                            DataError, DecodeError)
+from vit2img.models import (KIND_BUFFER, KIND_PARAM, ModelConfig, _pack_record, _read_records,
+                            build_generator, load_checkpoint, save_checkpoint)
 
 TINY_MODEL = ["--image-size", "16", "--patch-size", "4", "--embed-dim", "8",
               "--num-heads", "2", "--ffn-width", "8", "--num-layers", "1"]
@@ -191,6 +191,12 @@ REJECTED = [
     ("train-classes-with-depth",
      ["train", "--synthetic", "depth:n=2,size=16", *TINY_MODEL, "--classes", "7"], 2),
     ("train-classes-option-with-depth", ["train", "--synthetic", "depth:n=2,size=16,classes=7", *TINY_MODEL], 2),
+    ("train-classes-1", ["train", *SHAPES, *TINY_MODEL, "--classes", "1"], 2),
+    ("train-classes-0", ["train", *SHAPES, *TINY_MODEL, "--classes", "0"], 2),
+    ("train-classes--2", ["train", *SHAPES, *TINY_MODEL, "--classes", "-2"], 2),
+    ("train-classes-option-1", ["train", "--synthetic", "shapes:n=2,size=16,classes=1", *TINY_MODEL], 2),
+    ("eval-classes-1", ["eval", "--checkpoint", "{ckpt}", *SHAPES, "--classes", "1"], 2),
+    ("compare-classes-option-0", ["compare", "--synthetic", "shapes:n=2,size=16,classes=0", *TINY_MODEL], 2),
     ("train-classes-with-manifest", ["train", "--manifest", "{tmp}/none.manifest", *TINY_MODEL, "--classes", "3"], 2),
 ]
 
@@ -489,21 +495,21 @@ def test_infer_wrong_size_exit_3(tmp_path):
 
 # --- malformed files ---------------------------------------------------------------
 
-def with_header(tmp_path, source, header: bytes):
-    """Copy checkpoint ``source`` with its JSON header replaced and a valid CRC."""
-    blob = source.read_bytes()
-    (n,) = struct.unpack("<I", blob[8:12])
-    body = blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + n:-4]
+def checkpoint_case(tmp_path, body: bytes):
+    """Write ``body`` under a valid CRC; return its load and an eval of it."""
     path = tmp_path / "bad.ckpt"
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-    return path
+    return lambda: load_checkpoint(path), ["eval", "--checkpoint", str(path), *SHAPES,
+                                           "--out", str(tmp_path / "run")]
 
 
 def bad_checkpoint(header: bytes):
+    """A copy of the checkpoint with its JSON header replaced."""
     def make(tmp_path, ckpt):
-        path = with_header(tmp_path, ckpt, header)
-        return lambda: load_checkpoint(path), ["eval", "--checkpoint", str(path), *SHAPES,
-                                               "--out", str(tmp_path / "run")]
+        blob = ckpt.read_bytes()
+        (n,) = struct.unpack("<I", blob[8:12])
+        return checkpoint_case(tmp_path, blob[:8] + struct.pack("<I", len(header)) + header
+                               + blob[12 + n:-4])
     return make
 
 
@@ -519,16 +525,34 @@ def config_with(**fields):
 
 
 def record_value(record: str, value: float):
-    """A copy of the checkpoint whose record ``record`` starts with ``value``, under a valid CRC."""
+    """A copy of the checkpoint whose record ``record`` starts with ``value``."""
     def make(tmp_path, ckpt):
         body = bytearray(ckpt.read_bytes()[:-4])
         payload = {name: at for name, _, at in record_heads(body)}[record]
         struct.pack_into("<d", body, payload, value)
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
-        return lambda: load_checkpoint(path), ["eval", "--checkpoint", str(path), *SHAPES,
-                                               "--out", str(tmp_path / "run")]
+        return checkpoint_case(tmp_path, bytes(body))
     return make
+
+
+def with_records(edit):
+    """A copy of the checkpoint whose name -> (kind, array) records ``edit``
+    has changed in place."""
+    def make(tmp_path, ckpt):
+        blob = ckpt.read_bytes()
+        (n,) = struct.unpack("<I", blob[8:12])
+        _, records = _read_records(ckpt)
+        edit(records)
+        packed = (_pack_record(name, kind, arr) for name, (kind, arr) in records.items())
+        return checkpoint_case(tmp_path, b"".join([blob[:12 + n], struct.pack("<I", len(records)),
+                                                   *(head + arr.tobytes() for head, arr in packed)]))
+    return make
+
+
+def stored_as(record: str, kind: int, shape):
+    """A copy of the checkpoint with ``record`` stored as zeros of ``shape``."""
+    def edit(records):
+        records[record] = (kind, np.zeros(shape))
+    return with_records(edit)
 
 
 def empty_ppm(tmp_path, ckpt):
@@ -561,6 +585,14 @@ MALFORMED = [
     ("param-nan", record_value("encoder.patch.bias", float("nan")), CheckpointFormatError),
     ("running-var-inf", record_value("decoder.stages.0.bn.running_var", float("inf")),
      CheckpointFormatError),
+    ("param-missing", with_records(lambda records: records.pop("head.conv.bias")),
+     CheckpointMismatchError),
+    ("param-extra", stored_as("head.conv.extra", KIND_PARAM, (3,)), CheckpointMismatchError),
+    ("param-shape", stored_as("head.conv.bias", KIND_PARAM, (4,)), CheckpointMismatchError),
+    ("running-mean-shape-1", stored_as("decoder.stages.0.bn.running_mean", KIND_BUFFER, (1,)),
+     CheckpointMismatchError),
+    ("running-mean-shape-3", stored_as("decoder.stages.0.bn.running_mean", KIND_BUFFER, (3,)),
+     CheckpointMismatchError),
     ("ppm-0x0", empty_ppm, DecodeError),
     ("manifest-16x8-pair", non_square_manifest, DataError),
 ]
@@ -579,6 +611,15 @@ def test_malformed_file_typed_error_exit_3(tmp_path, tiny_checkpoint, capsys, ma
 def test_invalid_header_config_names_the_file(tmp_path, tiny_checkpoint):
     load, _ = config_with(variant="Z")(tmp_path, tiny_checkpoint)
     with pytest.raises(CheckpointFormatError, match=re.escape(str(tmp_path / "bad.ckpt"))):
+        load()
+
+
+def test_buffer_shape_mismatch_names_the_file_and_record(tmp_path, tiny_checkpoint):
+    record = "decoder.stages.0.bn.running_mean"
+    load, _ = stored_as(record, KIND_BUFFER, (1,))(tmp_path, tiny_checkpoint)
+    with pytest.raises(CheckpointMismatchError,
+                       match=f"{re.escape(str(tmp_path / 'bad.ckpt'))}: stored {re.escape(record)} "
+                             r"has shape \(1,\), model expects \(64,\)"):
         load()
 
 

@@ -291,12 +291,18 @@ def test_checkpoint_optimizer_state_round_trip(tmp_path, rng):
     g.zero_grad()
     path = tmp_path / "model.ckpt"
     save_checkpoint(g, path, optimizer_state=state.as_dict())
-    _, loaded_state = load_checkpoint(path, with_state=True)
+    loaded, loaded_state = load_checkpoint(path, with_state=True)
     assert loaded_state["t"] == 1
     for name, (m, v) in state.moments.items():
         lm, lv = loaded_state["moments"][name]
         assert m.tobytes() == lm.tobytes()
         assert v.tobytes() == lv.tobytes()
+    # The moments come in parameter order, not in the order of a hashed set,
+    # so a re-save writes the same bytes whatever PYTHONHASHSEED is.
+    assert list(loaded_state["moments"]) == [name for name, _ in g.named_parameters()]
+    resaved = tmp_path / "resaved.ckpt"
+    save_checkpoint(loaded, resaved, optimizer_state=loaded_state)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_same_build_identical_bytes(tmp_path):
@@ -396,6 +402,26 @@ def test_golden_init_checkpoint_loads_bit_identically(tmp_path, variant):
         assert n1 == n2 and p1.data.tobytes() == p2.data.tobytes()
     for (n1, b1), (n2, b2) in zip(gen.named_buffers(), loaded.named_buffers(), strict=True):
         assert n1 == n2 and b1.tobytes() == b2.tobytes()
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_INIT))
+def test_load_draws_no_initial_values(tmp_path, monkeypatch, variant):
+    config, digest = GOLDEN_INIT[variant]
+    gen = build_generator(config())
+    path = tmp_path / "init.ckpt"
+    save_checkpoint(gen, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checkpoint load drew initial values")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", refuse)
+        loaded = load_checkpoint(path)
+    assert [(n, p.data.tobytes()) for n, p in loaded.named_parameters()] \
+        == [(n, p.data.tobytes()) for n, p in gen.named_parameters()]
+    assert [(n, b.tobytes()) for n, b in loaded.named_buffers()] \
+        == [(n, b.tobytes()) for n, b in gen.named_buffers()]
 
 
 def test_read_records_holds_about_one_file(tmp_path):
