@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import tensor as T
-from .data import (PairedSample, load_image, load_manifest_dataset,
+from .data import (PALETTE, PairedSample, load_image, load_manifest_dataset,
                    make_synthetic, montage, read_manifest, render_class_map,
                    save_image)
 from .errors import ConfigError, DataError, NumericError, Vit2ImgError
@@ -41,6 +41,14 @@ def nonnegative(raw: str) -> int:
     """Parse an integer that is at least 0."""
     value = int(raw)
     if value < 0:
+        raise ValueError(raw)
+    return value
+
+
+def number(raw: str) -> float:
+    """Parse a float that is not NaN, so that it compares as a bound."""
+    value = float(raw)
+    if value != value:
         raise ValueError(raw)
     return value
 
@@ -81,7 +89,7 @@ SETTINGS = {
     "epochs": Setting(int, MODEL, "--epochs"),
     "steps": Setting(int, MODEL, "--steps", "cap on optimizer steps"),
     "batch_size": Setting(int, MODEL, "--batch-size"),
-    "stop_loss": Setting(float, ("train",), "--stop-loss"),
+    "stop_loss": Setting(number, ("train",), "--stop-loss"),
     "montage_every": Setting(nonnegative, ("train",), "--montage-every",
                              "write a progress montage every k epochs"),
     "checkpoint": Setting(nonempty, ("eval", "infer"), "--checkpoint"),
@@ -95,17 +103,21 @@ SETTINGS = {
 
 def parse_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, val = (part.strip() for part in line.partition("="))
-            if not eq:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
-            if key not in SETTINGS:
-                raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-            values[key] = val
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = list(f)
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from e
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, val = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
+        if key not in SETTINGS:
+            raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+        values[key] = val
     return values
 
 
@@ -170,8 +182,9 @@ def resolve_dataset(cfg: RunConfig, size: int) -> tuple[list[PairedSample], str,
             raise ConfigError(f"classes applies to shapes datasets only, not to {kind!r}")
         image_size = opts.get("size", cfg.get("image_size", size))
         classes = opts.get("classes", cfg.get("classes", 3))
-        if classes < 2:
-            raise ConfigError(f"classes must be at least 2 for a shapes dataset, got {classes}")
+        if not 2 <= classes <= len(PALETTE):
+            raise ConfigError(f"classes must be from 2 to the palette's {len(PALETTE)} "
+                              f"for a shapes dataset, got {classes}")
         seed = opts.get("seed", cfg.get("seed", ModelConfig.seed))
         samples = make_synthetic(kind, opts.get("n", 8), image_size, seed, classes)
         task = "segmentation" if kind == "shapes" else "regression"
@@ -240,9 +253,9 @@ def evaluate_model(gen: Generator, samples, extractor_kind: str, seed: int,
     )
 
 
-def _write_montage(gens: list[Generator], samples, path, max_rows: int = 4) -> None:
-    """One row per sample: input | target | each generator's output."""
-    subset = samples[:max_rows]
+def _write_montage(gens: list[Generator], samples, path) -> None:
+    """One row per sample, for the first four: input | target | each generator's output."""
+    subset = samples[:4]
     task = gens[0].config.task
     outs = [model_outputs(gen, subset) for gen in gens]
     rows = [[np.clip(s.input, -1, 1), render(task, s.target), *(render(task, o[i]) for o in outs)]
@@ -255,9 +268,18 @@ def _write_montage(gens: list[Generator], samples, path, max_rows: int = 4) -> N
 # directory, so a rejected invocation leaves nothing behind.
 
 
+def _run_directory(cfg: RunConfig) -> Path:
+    """The ``out`` setting: a directory, or a path that mkdir can make one."""
+    out_dir = Path(cfg.require("out"))
+    found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"setting 'out': {found} exists and is not a directory")
+    return out_dir
+
+
 def training_run(cfg: RunConfig) -> tuple[Path, list[PairedSample], ModelConfig, dict]:
     """A training command's run directory, dataset, model and checked budget (``train`` kwargs)."""
-    out_dir = Path(cfg.require("out"))
+    out_dir = _run_directory(cfg)
     samples, task, classes, image_size = resolve_dataset(cfg, ModelConfig.image_size)
     mc = model_config_from(cfg, task, classes, image_size)
     budget = dict(epochs=cfg.get("epochs", 1), batch_size=cfg.get("batch_size", 4),
@@ -295,7 +317,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.require("out"))
+    out_dir = _run_directory(cfg)
     gen = load_checkpoint(cfg.require("checkpoint"))
     samples, task, classes, image_size = resolve_dataset(cfg, gen.config.image_size)
     if task != gen.config.task:
@@ -318,6 +340,9 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_infer(cfg: RunConfig) -> int:
+    output = Path(cfg.require("output"))
+    if output.is_dir() or not output.parent.is_dir():
+        raise ConfigError(f"setting 'output': {output} is not a file path in an existing directory")
     gen = load_checkpoint(cfg.require("checkpoint"))
     image = load_image(cfg.require("input"))
     size = gen.config.image_size
@@ -325,7 +350,7 @@ def cmd_infer(cfg: RunConfig) -> int:
         raise DataError(f"input image is {image.shape[0]}x{image.shape[1]}, model expects {size}x{size}")
     with T.no_grad():
         out = gen.forward(image[None], "eval").data[0]
-    save_image(render(gen.config.task, out), cfg.require("output"))
+    save_image(render(gen.config.task, out), output)
     print(f"wrote {cfg.require('output')}")
     return 0
 

@@ -247,8 +247,8 @@ def make_synthetic(kind: str, n: int, image_size: int, seed: int, classes: int =
 # montage
 
 
-def montage(rows: list[list[np.ndarray]], path=None, separator: float = 1.0) -> np.ndarray:
-    """Assemble tiles into a grid image with 2-pixel separators.
+def montage(rows: list[list[np.ndarray]], path=None) -> np.ndarray:
+    """Assemble tiles into a grid image with white 2-pixel separators.
 
     ``rows`` is a list of rows, each a list of [-1, 1] images of one shape.
     Returns the canvas; writes a PPM when ``path`` is given.
@@ -272,7 +272,7 @@ def montage(rows: list[list[np.ndarray]], path=None, separator: float = 1.0) -> 
                 f"montage: mixed tile sizes in row {r}: {[t.shape for t in tiles]}"
             )
         h = shape0[0]
-        sep = np.full((h, gap, 3), separator)
+        sep = np.ones((h, gap, 3))
         pieces = []
         for i, t in enumerate(tiles):
             if i:
@@ -283,9 +283,9 @@ def montage(rows: list[list[np.ndarray]], path=None, separator: float = 1.0) -> 
     rows_out = []
     for i, c in enumerate(canvases):
         if c.shape[1] < width:
-            c = np.concatenate([c, np.full((c.shape[0], width - c.shape[1], 3), separator)], axis=1)
+            c = np.concatenate([c, np.ones((c.shape[0], width - c.shape[1], 3))], axis=1)
         if i:
-            rows_out.append(np.full((gap, width, 3), separator))
+            rows_out.append(np.ones((gap, width, 3)))
         rows_out.append(c)
     canvas = np.concatenate(rows_out, axis=0)
     if path is not None:
@@ -297,47 +297,37 @@ def montage(rows: list[list[np.ndarray]], path=None, separator: float = 1.0) -> 
 # manifest-based external datasets
 
 
-def write_manifest(manifest: DatasetManifest, path) -> None:
-    with open(path, "w") as f:
-        f.write(f"task = {manifest.task}\n")
-        f.write(f"classes = {manifest.classes}\n")
-        f.write(f"image_size = {manifest.image_size}\n")
-        f.write("\n")
-        for inp, tgt in manifest.pairs:
-            f.write(f"{inp}\t{tgt}\n")
-
-
 def read_manifest(path) -> DatasetManifest:
     path = Path(path)
     header: dict[str, str] = {}
     pairs: list[tuple[str, str]] = []
     try:
-        handle = open(path)
-    except OSError as e:
+        with open(path, encoding="utf-8") as f:
+            lines = list(f)
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read manifest {path}: {e}") from e
-    with handle as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if "=" in line and "\t" not in line:
-                key, _, val = line.partition("=")
-                header[key.strip()] = val.strip()
-            else:
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{line_no}: expected 'input<TAB>target', got {line!r}")
-                pairs.append((parts[0], parts[1]))
+    for line_no, line in enumerate(lines, 1):
+        line = line.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if "=" in line and "\t" not in line:
+            key, _, val = line.partition("=")
+            header[key.strip()] = val.strip()
+        else:
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DataError(f"{path}:{line_no}: expected 'input<TAB>target', got {line!r}")
+            pairs.append((parts[0], parts[1]))
     for key in ("task", "classes", "image_size"):
         if key not in header:
             raise DataError(f"{path}: manifest header is missing {key!r}")
-    return DatasetManifest(
-        root=path.parent,
-        task=header["task"],
-        classes=int(header["classes"]),
-        image_size=int(header["image_size"]),
-        pairs=pairs,
-    )
+    sizes = {}
+    for key in ("classes", "image_size"):
+        try:
+            sizes[key] = int(header[key])
+        except ValueError:
+            raise DataError(f"{path}: manifest header {key} = {header[key]!r} is not an integer") from None
+    return DatasetManifest(root=path.parent, task=header["task"], pairs=pairs, **sizes)
 
 
 def load_manifest_dataset(manifest: DatasetManifest) -> list[PairedSample]:

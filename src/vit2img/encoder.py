@@ -10,7 +10,6 @@ multi-head attention and the feed-forward sublayer).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,29 +17,6 @@ from . import tensor as T
 from .errors import ConfigError, DimensionError
 from .layers import LayerNorm, Linear, Module, xavier_uniform
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class PatchConfig:
-    """Geometry of the patch grid; num_patches = (image_size / patch_size)^2."""
-
-    image_size: int
-    patch_size: int
-    embed_dim: int
-    channels: int = 3
-    num_patches: int = field(init=False)
-
-    def __post_init__(self):
-        if self.image_size % self.patch_size != 0:
-            raise ConfigError(
-                f"image size {self.image_size} is not divisible by patch size {self.patch_size}"
-            )
-        side = self.image_size // self.patch_size
-        object.__setattr__(self, "num_patches", side * side)
-
-    @property
-    def patch_len(self) -> int:
-        return self.patch_size * self.patch_size * self.channels
 
 
 def extract_patches(images, patch_size: int) -> Tensor:
@@ -66,25 +42,21 @@ def extract_patches(images, patch_size: int) -> Tensor:
 class PatchEncoder(Module):
     """Linear projection of flattened patches plus learnable position rows."""
 
-    def __init__(self, rng: np.random.Generator, config: PatchConfig):
+    def __init__(self, rng: np.random.Generator, patch_len: int, num_patches: int, embed_dim: int):
         super().__init__()
-        self.config = config
         self.projection = self.register_parameter(
-            "projection",
-            Tensor(xavier_uniform(rng, (config.patch_len, config.embed_dim),
-                                  config.patch_len, config.embed_dim)),
+            "projection", Tensor(xavier_uniform(rng, (patch_len, embed_dim), patch_len, embed_dim)),
         )
-        self.bias = self.register_parameter("bias", Tensor(np.zeros(config.embed_dim)))
+        self.bias = self.register_parameter("bias", Tensor(np.zeros(embed_dim)))
         self.positions = self.register_parameter(
-            "positions",
-            Tensor(rng.normal(0.0, 0.02, size=(config.num_patches, config.embed_dim))),
+            "positions", Tensor(rng.normal(0.0, 0.02, size=(num_patches, embed_dim))),
         )
 
     def __call__(self, patches):
         patches = T.as_tensor(patches)
-        if patches.shape[-1] != self.config.patch_len:
+        if patches.shape[-1] != self.projection.shape[0]:
             raise DimensionError(
-                f"patch encoder: patch length {patches.shape[-1]} does not match projection rows {self.config.patch_len}"
+                f"patch encoder: patch length {patches.shape[-1]} does not match projection rows {self.projection.shape[0]}"
             )
         tokens = T.add(T.matmul(patches, self.projection), self.bias)
         return T.add(tokens, self.positions)
@@ -113,10 +85,6 @@ class MultiHeadAttention(Module):
 
     def __init__(self, rng, embed_dim: int, num_heads: int):
         super().__init__()
-        if embed_dim % num_heads != 0:
-            raise ConfigError(
-                f"embed_dim {embed_dim} is not divisible by num_heads {num_heads}"
-            )
         self.num_heads = num_heads
         self.d_k = embed_dim // num_heads
         self.w_q: list[Tensor] = []

@@ -76,9 +76,6 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
 
 class Linear(Module):
     """y = x @ weight + bias, applied to the last axis."""
@@ -161,4 +158,4 @@ class ConvTranspose2d(Module):
         self.bias = self.register_parameter("bias", Tensor(np.zeros(out_ch)))
 
     def __call__(self, x):
-        return T.conv2d_transpose(x, self.kernel, self.bias, 2, "same")
+        return T.conv2d_transpose(x, self.kernel, self.bias, 2)

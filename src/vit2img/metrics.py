@@ -25,9 +25,9 @@ SSIM_K2 = 0.03
 COV_SHRINKAGE = 1e-6
 
 
-def _gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    x = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    k = np.exp(-(x * x) / (2.0 * sigma * sigma))
+def _gaussian_kernel() -> np.ndarray:
+    x = np.arange(SSIM_WINDOW, dtype=np.float64) - (SSIM_WINDOW - 1) / 2.0
+    k = np.exp(-(x * x) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
     return k / k.sum()
 
 
@@ -75,17 +75,17 @@ def ssim(a: np.ndarray, b: np.ndarray, data_range: float = 2.0) -> float:
     return float(np.mean(num / den))
 
 
-def matrix_sqrt_psd(s: np.ndarray, sym_tol: float = 1e-8) -> np.ndarray:
+def matrix_sqrt_psd(s: np.ndarray) -> np.ndarray:
     """Principal square root of a symmetric PSD matrix via eigendecomposition.
 
     Negative eigenvalues from round-off are clamped to zero.  Raises if the
-    input is asymmetric beyond ``sym_tol`` (relative to its largest entry).
+    input is asymmetric beyond 1e-8 relative to its largest entry.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionError(f"matrix_sqrt_psd: expected a square matrix, got {s.shape}")
     scale = max(np.abs(s).max(), 1.0)
-    if np.abs(s - s.T).max() > sym_tol * scale:
+    if np.abs(s - s.T).max() > 1e-8 * scale:
         raise NumericError("matrix_sqrt_psd: input is not symmetric within tolerance")
     eigvals, eigvecs = np.linalg.eigh(s)
     root = np.sqrt(np.maximum(eigvals, 0.0))
@@ -144,7 +144,7 @@ def fid(real_images, generated_images, extractor) -> float:
     return frechet_distance(mu_r, cov_r, mu_g, cov_g)
 
 
-def inception_score(generated_images, classifier, splits: int = 1) -> float:
+def inception_score(generated_images, classifier) -> float:
     """exp(mean KL(p(y|x) || p(y))) over the generated set.
 
     ``classifier`` maps a list/array of images to per-image probability
@@ -159,16 +159,13 @@ def inception_score(generated_images, classifier, splits: int = 1) -> float:
     sums = probs.sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-6:
         raise ContractError("classifier output rows do not sum to 1 (not a probability vector)")
-    scores = []
-    for chunk in np.array_split(probs, splits):
-        marginal = chunk.mean(axis=0)
-        # p log(p/q) with 0 log 0 = 0; q > 0 wherever any p > 0
-        mask = chunk > 0.0
-        safe_p = np.where(mask, chunk, 1.0)
-        safe_q = np.where(mask, marginal, 1.0)
-        kl = (chunk * np.where(mask, np.log(safe_p) - np.log(safe_q), 0.0)).sum(axis=1).mean()
-        scores.append(np.exp(kl))
-    return float(np.mean(scores))
+    marginal = probs.mean(axis=0)
+    # p log(p/q) with 0 log 0 = 0; q > 0 wherever any p > 0
+    mask = probs > 0.0
+    safe_p = np.where(mask, probs, 1.0)
+    safe_q = np.where(mask, marginal, 1.0)
+    kl = (probs * np.where(mask, np.log(safe_p) - np.log(safe_q), 0.0)).sum(axis=1).mean()
+    return float(np.exp(kl))
 
 
 # ---------------------------------------------------------------------------
@@ -186,32 +183,24 @@ class PixelDownsampleExtractor:
     """Average-pool each image onto a small grid and flatten; the cheapest
     deterministic feature map."""
 
-    kind = "pixel_downsample"
-
-    def __init__(self, grid: int = 4):
-        self.grid = grid
-
-    @property
-    def descriptor(self) -> str:
-        return f"pixel_downsample(grid={self.grid})"
+    GRID = 4
+    descriptor = f"pixel_downsample(grid={GRID})"
 
     def extract(self, images) -> np.ndarray:
         arr = _to_batch(images)
         n, h, w, c = arr.shape
         # Average-pool over an even grid partition; exact and deterministic.
-        ys = np.linspace(0, h, self.grid + 1).astype(int)
-        xs = np.linspace(0, w, self.grid + 1).astype(int)
-        feats = np.empty((n, self.grid, self.grid, c))
-        for i in range(self.grid):
-            for j in range(self.grid):
+        ys = np.linspace(0, h, self.GRID + 1).astype(int)
+        xs = np.linspace(0, w, self.GRID + 1).astype(int)
+        feats = np.empty((n, self.GRID, self.GRID, c))
+        for i in range(self.GRID):
+            for j in range(self.GRID):
                 feats[:, i, j, :] = arr[:, ys[i]:ys[i + 1], xs[j]:xs[j + 1], :].mean(axis=(1, 2))
         return feats.reshape(n, -1)
 
 
 class RandomProjectionExtractor:
     """Seeded Gaussian random projection of flattened pixels."""
-
-    kind = "seeded_random_projection"
 
     def __init__(self, input_shape: tuple[int, int, int], output_dim: int = 16, seed: int = 0):
         self.input_shape = tuple(input_shape)
@@ -231,43 +220,33 @@ class RandomProjectionExtractor:
 
 
 class TinyClassifier:
-    """A small fixed-architecture classifier over pooled pixels.
+    """A small fixed-architecture classifier over pooled pixels, never
+    trained: a seeded random-feature probe.
 
-    Serves two roles: its softmax output feeds the Inception Score and its
-    hidden activations serve as FID features.  Weights are seeded (usable
-    untrained as a random-feature probe) and can be fitted on a labeled set
-    with ``fit`` for the trained_tiny_classifier extractor kind.
+    Its softmax output feeds the Inception Score and its hidden activations
+    serve as FID features.
     """
 
-    kind = "trained_tiny_classifier"
+    HIDDEN = 32
 
-    def __init__(self, n_classes: int, seed: int = 0, grid: int = 4, hidden: int = 32,
-                 channels: int = 3):
+    def __init__(self, n_classes: int, seed: int = 0, channels: int = 3):
         self.n_classes = n_classes
         self.seed = seed
-        self.grid = grid
-        self.hidden = hidden
-        self.channels = channels
-        self.trained = False
         rng = np.random.default_rng(seed)
-        d = grid * grid * channels
-        self.w1 = Tensor(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, hidden)), requires_grad=True)
-        self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w2 = Tensor(rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, n_classes)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(n_classes), requires_grad=True)
-        self._pool = PixelDownsampleExtractor(grid)
+        d = PixelDownsampleExtractor.GRID ** 2 * channels
+        self.w1 = Tensor(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, self.HIDDEN)))
+        self.b1 = Tensor(np.zeros(self.HIDDEN))
+        self.w2 = Tensor(rng.normal(0.0, 1.0 / np.sqrt(self.HIDDEN), size=(self.HIDDEN, n_classes)))
+        self.b2 = Tensor(np.zeros(n_classes))
+        self._pool = PixelDownsampleExtractor()
 
     @property
     def descriptor(self) -> str:
-        return (f"tiny_classifier(k={self.n_classes},hidden={self.hidden},"
-                f"seed={self.seed},trained={self.trained})")
+        return f"tiny_classifier(k={self.n_classes},hidden={self.HIDDEN},seed={self.seed})"
 
     def _hidden(self, images) -> Tensor:
         feats = self._pool.extract(images)
         return T.relu(T.add(T.matmul(Tensor(feats), self.w1), self.b1))
-
-    def _logits(self, images) -> Tensor:
-        return T.add(T.matmul(self._hidden(images), self.w2), self.b2)
 
     def extract(self, images) -> np.ndarray:
         with T.no_grad():
@@ -275,36 +254,21 @@ class TinyClassifier:
 
     def probabilities(self, images) -> np.ndarray:
         with T.no_grad():
-            return T.softmax(self._logits(images), axis=-1).data
+            logits = T.add(T.matmul(self._hidden(images), self.w2), self.b2)
+            return T.softmax(logits, axis=-1).data
 
     __call__ = probabilities
 
-    def fit(self, images, labels, steps: int = 200, lr: float = 0.01) -> None:
-        """Fit on (image, integer label) pairs with plain Adam."""
-        from .training import AdamState, adam_step, sparse_categorical_crossentropy
 
-        labels = np.asarray(labels, dtype=np.int64)
-        named = [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
-        state = AdamState(lr=lr, beta1=0.9)
-        for _ in range(steps):
-            loss = sparse_categorical_crossentropy(self._logits(images), labels)
-            T.backward(loss)
-            adam_step(named, state)
-            for _, p in named:
-                p.zero_grad()
-        self.trained = True
-
-
-def make_extractor(kind: str, image_size: int, seed: int = 0, n_classes: int = 8,
-                   channels: int = 3):
+def make_extractor(kind: str, image_size: int, seed: int = 0, channels: int = 3):
     """Build one of the three extractor kinds by name, for images of
-    ``image_size`` x ``image_size`` x ``channels``."""
+    ``image_size`` x ``image_size`` x ``channels``; ``tiny`` has 8 classes."""
     if kind == "pixel":
         return PixelDownsampleExtractor()
     if kind == "proj":
         return RandomProjectionExtractor((image_size, image_size, channels), seed=seed)
     if kind == "tiny":
-        return TinyClassifier(n_classes=n_classes, seed=seed, channels=channels)
+        return TinyClassifier(n_classes=8, seed=seed, channels=channels)
     raise ContractError(f"unknown extractor kind {kind!r}; expected pixel, proj or tiny")
 
 

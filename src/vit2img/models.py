@@ -29,11 +29,11 @@ import numpy as np
 from . import tensor as T
 from .decoder import (DEFAULT_SCHEDULE, OutputHead, SkipProjection,
                       UpsampleStage, tokens_to_grid, upsample_concat)
-from .encoder import PatchConfig, PatchEncoder, TransformerLayer, extract_patches
+from .encoder import PatchEncoder, TransformerLayer, extract_patches
 from .errors import (CheckpointError, CheckpointFormatError, CheckpointMismatchError,
                      CheckpointVersionError, ConfigError, DimensionError)
 from .layers import (BATCH_NORM_EPS, BATCH_NORM_MOMENTUM, LAYER_NORM_EPS,
-                     LEAKY_SLOPE, BatchNorm, Conv2d, ConvTranspose2d, Module)
+                     LEAKY_SLOPE, BatchNorm, Conv2d, Module)
 from .tensor import Tensor
 
 VARIANTS = ("A", "B", "C", "unet", "autoencoder")
@@ -139,8 +139,9 @@ class Generator(Module):
 
     def _build_vit(self, rng):
         cfg = self.config
-        patch_cfg = PatchConfig(cfg.image_size, cfg.patch_size, cfg.embed_dim, cfg.in_channels)
-        self.patch = self.add_module("encoder.patch", PatchEncoder(rng, patch_cfg))
+        patch = PatchEncoder(rng, cfg.patch_size ** 2 * cfg.in_channels,
+                             (cfg.image_size // cfg.patch_size) ** 2, cfg.embed_dim)
+        self.patch = self.add_module("encoder.patch", patch)
         self.layers: list[TransformerLayer] = []
         for i in range(cfg.num_transformer_layers):
             layer = TransformerLayer(rng, cfg.embed_dim, cfg.num_heads, cfg.ffn_width)
@@ -185,13 +186,11 @@ class Generator(Module):
         self.bottleneck_conv = self.add_module("bottleneck.conv", Conv2d(rng, in_ch, in_ch, 3))
         self.bottleneck_bn = self.add_module("bottleneck.bn", BatchNorm(in_ch))
         self.use_skips = cfg.variant == "unet"
-        self.dec_layers: list[tuple[ConvTranspose2d, BatchNorm]] = []
+        self.dec_layers: list[UpsampleStage] = []
         cur = in_ch
         for i in range(downs):
             out_ch = ladder[downs - 1 - i] // 2
-            ct = self.add_module(f"dec.{i}.ct", ConvTranspose2d(rng, cur, out_ch))
-            bn = self.add_module(f"dec.{i}.bn", BatchNorm(out_ch))
-            self.dec_layers.append((ct, bn))
+            self.dec_layers.append(self.add_module(f"dec.{i}", UpsampleStage(rng, cur, out_ch, None)))
             cur = out_ch
             if self.use_skips and i < downs - 1:
                 cur += ladder[downs - 2 - i]
@@ -244,8 +243,8 @@ class Generator(Module):
             skips.append(act)
         act = T.leaky_relu(self.bottleneck_bn(self.bottleneck_conv(act), mode), LEAKY_SLOPE)
         n_dec = len(self.dec_layers)
-        for i, (ct, bn) in enumerate(self.dec_layers):
-            act = T.leaky_relu(bn(ct(act), mode), LEAKY_SLOPE)
+        for i, stage in enumerate(self.dec_layers):
+            act = stage(act, mode)
             if self.use_skips and i < n_dec - 1:
                 act = T.concat([act, skips[n_dec - 2 - i]], axis=-1)
         return self.head(act)

@@ -644,13 +644,11 @@ def conv2d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     return _conv_node(out, x, w, b, grad)
 
 
-def conv2d_transpose(x, w, b=None, stride: int = 2, padding: str = "same") -> Tensor:
-    """Fractionally-strided convolution: the adjoint in x of conv2d with the same
-    kernel array.  With 'same' padding the output is exactly stride times the input
+def conv2d_transpose(x, w, b=None, stride: int = 2) -> Tensor:
+    """Fractionally-strided convolution: the adjoint in x of 'same'-padded conv2d
+    with the same kernel array.  The output is exactly stride times the input
     size (kernel >= stride required so the implied padding is nonnegative)."""
     x, w, b = _conv_args("conv2d_transpose", x, w, b, 3)
-    if padding != "same":
-        raise ContractError("conv2d_transpose supports 'same' padding only")
     k = w.shape[0]
     if k < stride:
         raise DimensionError(f"conv2d_transpose: kernel {k} smaller than stride {stride}")

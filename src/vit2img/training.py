@@ -60,12 +60,7 @@ def mae_loss(pred, target) -> Tensor:
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter."""
 
-    def __init__(self, lr: float = ADAM_LR, beta1: float = ADAM_BETA1,
-                 beta2: float = ADAM_BETA2, eps: float = ADAM_EPS):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.t = 0
         self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # adam_step's one temporary, a chunk long; never saved.
@@ -93,9 +88,9 @@ def adam_step(named_params: list[tuple[str, Tensor]], state: AdamState) -> None:
             raise ContractError(f"adam_step: parameter {name!r} has no gradient")
     state.t += 1
     t = state.t
-    root2 = np.sqrt(1.0 - state.beta2 ** t)
-    step_size = state.lr * root2 / (1.0 - state.beta1 ** t)
-    eps = state.eps * root2
+    root2 = np.sqrt(1.0 - ADAM_BETA2 ** t)
+    step_size = ADAM_LR * root2 / (1.0 - ADAM_BETA1 ** t)
+    eps = ADAM_EPS * root2
     for name, p in named_params:
         if name not in state.moments:
             state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
@@ -105,11 +100,11 @@ def adam_step(named_params: list[tuple[str, Tensor]], state: AdamState) -> None:
         for i in range(0, p.size, ADAM_CHUNK):
             pc, g, m, v = (a[i:i + ADAM_CHUNK] for a in flat)
             s = state.scratch[:g.size]
-            m *= state.beta1
-            m += np.multiply(g, 1.0 - state.beta1, out=s)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
             np.multiply(g, g, out=s)
-            s *= 1.0 - state.beta2
-            v *= state.beta2
+            s *= 1.0 - ADAM_BETA2
+            v *= ADAM_BETA2
             v += s
             np.sqrt(v, out=s)
             s += eps
@@ -123,10 +118,9 @@ class TrainRecord:
     step: int
     loss: float
     ms: float
-    lr: float
 
     def line(self) -> str:
-        return f"{self.step}\t{self.loss:.10g}\t{self.ms:.3f}\t{self.lr:g}"
+        return f"{self.step}\t{self.loss:.10g}\t{self.ms:.3f}\t{ADAM_LR:g}"
 
 
 def _batch_arrays(samples, task: str):
@@ -206,7 +200,7 @@ def train(gen: Generator, dataset, epochs: int, batch_size: int, loss_kind: str,
             adam_step(named, state)
             gen.zero_grad()
             step += 1
-            rec = TrainRecord(step, loss_val, (time.perf_counter() - t0) * 1e3, state.lr)
+            rec = TrainRecord(step, loss_val, (time.perf_counter() - t0) * 1e3)
             records.append(rec)
             if record_hook is not None:
                 record_hook(rec)

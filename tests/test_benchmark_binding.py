@@ -1,0 +1,26 @@
+"""The benchmark under perfbench/ rebinds package names by attribute (its
+tracer's TENSOR_OPS, FUNCTIONS and module classes).  Its own self-tests are
+slow and run apart from this suite, so this checks here that every name it
+binds still exists and that it restores them all."""
+
+from pathlib import Path
+
+import vit2img.models as models
+import vit2img.tensor as T
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    import workloads  # noqa: F401  (binds the package at import)
+
+    originals = [T.conv2d, models.build_generator, vars(models.Generator)["__call__"]]
+    t = tracer.Tracer()
+    try:  # a failed install leaves the names it had already rebound
+        t.install()
+        assert T.conv2d is not originals[0]
+    finally:
+        t.uninstall()
+    assert [T.conv2d, models.build_generator, vars(models.Generator)["__call__"]] == originals

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import record_heads
+from conftest import record_heads, write_manifest
 from vit2img.cli import (SETTINGS, RunConfig, build_parser, main, parse_config_file,
                          parse_synthetic_spec)
 from vit2img.data import (PALETTE, DatasetManifest, float_to_byte, load_image,
-                          load_manifest_dataset, read_manifest, save_image,
-                          write_manifest)
+                          load_manifest_dataset, read_manifest, save_image)
 from vit2img.errors import (CheckpointFormatError, CheckpointMismatchError, ConfigError,
                             DataError, DecodeError)
 from vit2img.models import (KIND_BUFFER, KIND_PARAM, ModelConfig, _pack_record, _read_records,
@@ -198,6 +197,19 @@ REJECTED = [
     ("eval-classes-1", ["eval", "--checkpoint", "{ckpt}", *SHAPES, "--classes", "1"], 2),
     ("compare-classes-option-0", ["compare", "--synthetic", "shapes:n=2,size=16,classes=0", *TINY_MODEL], 2),
     ("train-classes-with-manifest", ["train", "--manifest", "{tmp}/none.manifest", *TINY_MODEL, "--classes", "3"], 2),
+    ("train-classes-9", ["train", *SHAPES, *TINY_MODEL, "--classes", "9"], 2),
+    ("train-classes-option-9", ["train", "--synthetic", "shapes:n=2,size=16,classes=9", *TINY_MODEL], 2),
+    ("train-stop-loss-nan", ["train", *SHAPES, *TINY_MODEL, "--stop-loss", "nan"], 2),
+    ("train-stop-loss-nan-in-config",
+     ["train", "--config", "{tmp}/nan-stop.cfg", *SHAPES, *TINY_MODEL, "--out", "{tmp}/run"], 2),
+    ("train-missing-config", ["train", "--config", "{tmp}/none.cfg", *SHAPES, *TINY_MODEL, "--out", "{tmp}/run"], 2),
+    ("eval-config-not-utf8",
+     ["eval", "--config", "{tmp}/latin1.cfg", "--checkpoint", "{ckpt}", *SHAPES, "--out", "{tmp}/run"], 2),
+    ("train-out-is-a-file", ["train", *SHAPES, *TINY_MODEL, "--out", "{tmp}/empty-out.cfg"], 2),
+    ("eval-out-is-a-file", ["eval", "--checkpoint", "{ckpt}", *SHAPES, "--out", "{tmp}/empty-out.cfg"], 2),
+    ("compare-out-under-a-file", ["compare", *SHAPES, *TINY_MODEL, "--out", "{tmp}/empty-out.cfg/run"], 2),
+    ("infer-output-in-missing-directory",
+     ["infer", "--checkpoint", "{ckpt}", "--input", "{tmp}/in.ppm", "--output", "{tmp}/run/out.ppm"], 2),
 ]
 
 
@@ -207,12 +219,16 @@ def test_rejected_invocation_leaves_no_run_directory(tmp_path, tiny_checkpoint, 
                                                      argv, code):
     # A row may set out itself, by flag or config file, and an empty out is
     # the current directory: run in tmp_path and check that nothing is added.
+    # infer has no out; its rows write nothing else.
     (tmp_path / "empty-out.cfg").write_text("out = \n")
+    (tmp_path / "nan-stop.cfg").write_text("stop_loss = nan\n")
+    (tmp_path / "latin1.cfg").write_bytes("seed = 1\n# caf\u00e9\n".encode("latin-1"))
+    save_image(np.zeros((16, 16, 3)), tmp_path / "in.ppm")
     monkeypatch.chdir(tmp_path)
     before = sorted(tmp_path.iterdir())
     out = tmp_path / "run"
     argv = [a.format(tmp=tmp_path, ckpt=tiny_checkpoint) for a in argv]
-    sets_out = "--out" in argv or "--config" in argv
+    sets_out = argv[0] == "infer" or "--out" in argv or "--config" in argv
     assert main(argv if sets_out else [*argv, "--out", str(out)]) == code
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
@@ -572,6 +588,16 @@ def non_square_manifest(tmp_path, ckpt):
             ["train", "--manifest", str(path), *TINY_MODEL, "--out", str(tmp_path / "run")])
 
 
+def manifest_text(text: bytes):
+    """A manifest file holding ``text``."""
+    def make(tmp_path, ckpt):
+        path = tmp_path / "data.manifest"
+        path.write_bytes(text)
+        return (lambda: read_manifest(path),
+                ["train", "--manifest", str(path), *TINY_MODEL, "--out", str(tmp_path / "run")])
+    return make
+
+
 MALFORMED = [
     ("header-not-utf8", bad_checkpoint(b"\xff\xfe{}"), CheckpointFormatError),
     ("header-bad-json", bad_checkpoint(b"{not json"), CheckpointFormatError),
@@ -595,6 +621,11 @@ MALFORMED = [
      CheckpointMismatchError),
     ("ppm-0x0", empty_ppm, DecodeError),
     ("manifest-16x8-pair", non_square_manifest, DataError),
+    ("manifest-classes-x", manifest_text(b"task = segmentation\nclasses = x\nimage_size = 16\n"), DataError),
+    ("manifest-image-size-1.5", manifest_text(b"task = segmentation\nclasses = 3\nimage_size = 1.5\n"),
+     DataError),
+    ("manifest-not-utf8", manifest_text(b"task = segmentation\nclasses = 3\nimage_size = 16\n# caf\xe9\n"),
+     DataError),
 ]
 
 
@@ -611,6 +642,12 @@ def test_malformed_file_typed_error_exit_3(tmp_path, tiny_checkpoint, capsys, ma
 def test_invalid_header_config_names_the_file(tmp_path, tiny_checkpoint):
     load, _ = config_with(variant="Z")(tmp_path, tiny_checkpoint)
     with pytest.raises(CheckpointFormatError, match=re.escape(str(tmp_path / "bad.ckpt"))):
+        load()
+
+
+def test_manifest_header_error_names_the_file_and_key(tmp_path, tiny_checkpoint):
+    load, _ = manifest_text(b"task = segmentation\nclasses = x\nimage_size = 16\n")(tmp_path, tiny_checkpoint)
+    with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'data.manifest'}: manifest header classes = 'x'")):
         load()
 
 

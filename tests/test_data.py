@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import write_manifest
 from vit2img.data import (DatasetManifest, byte_to_float, float_to_byte,
                           load_image, load_manifest_dataset, make_synthetic,
                           montage, read_manifest, render_class_map, save_image,
-                          synth_depth_dataset, synth_segmentation_dataset,
-                          write_manifest)
+                          synth_depth_dataset, synth_segmentation_dataset)
 from vit2img.errors import DataError, DecodeError, DimensionError
 
 

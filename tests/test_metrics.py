@@ -235,13 +235,6 @@ def test_is_rejects_unnormalized():
         inception_score(imgs, FixedClassifier(probs))
 
 
-def test_is_splits_average():
-    probs = np.eye(4)
-    imgs = [np.zeros((2, 2, 3))] * 4
-    val = inception_score(imgs, FixedClassifier(probs), splits=2)
-    np.testing.assert_allclose(val, 2.0, rtol=1e-12)  # each split covers 2 classes
-
-
 # --- extractors ---------------------------------------------------------------------------
 
 def test_extractors_deterministic(rng):
@@ -263,24 +256,10 @@ def test_tiny_classifier_probabilities_normalized():
     assert "tiny_classifier" in clf.descriptor
 
 
-def test_tiny_classifier_fit_separates_labels():
-    data = synth_segmentation_dataset(12, 16, 3, seed=8)
-    imgs = [s.input for s in data]
-    # label: does the image contain class-1 pixels in its top half
-    labels = np.array([int(s.target[:8].max() > 0) for s in data])
-    clf = TinyClassifier(2, seed=0)
-    before = (clf(imgs).argmax(axis=1) == labels).mean()
-    clf.fit(imgs, labels, steps=300, lr=0.05)
-    after = (clf(imgs).argmax(axis=1) == labels).mean()
-    assert after >= before
-    assert after >= 0.75
-    assert clf.trained
-
-
 def test_make_extractor_kinds():
-    assert make_extractor("pixel", 16).kind == "pixel_downsample"
-    assert make_extractor("proj", 16, seed=2).kind == "seeded_random_projection"
-    assert make_extractor("tiny", 16).kind == "trained_tiny_classifier"
+    assert type(make_extractor("pixel", 16)) is PixelDownsampleExtractor
+    assert type(make_extractor("proj", 16, seed=2)) is RandomProjectionExtractor
+    assert type(make_extractor("tiny", 16)) is TinyClassifier
     with pytest.raises(ContractError):
         make_extractor("inception", 16)
 

@@ -451,7 +451,7 @@ def test_conv2d_transpose_gradients_match_explicit_cols(rng, k):
     w = rng.normal(size=(k, k, 4, 3))
     b = rng.normal(size=4)
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-    out = T.conv2d_transpose(xt, wt, bt, 2, "same")
+    out = T.conv2d_transpose(xt, wt, bt, 2)
     g = rng.normal(size=out.shape)
     T.backward(T.sum_(T.mul(out, Tensor(g))))
     want = conv2d_transpose_explicit_cols(x, w, b, g, 2)
@@ -509,7 +509,7 @@ def test_conv2d_is_adjoint_of_conv2d_transpose(rng, stride, k, size, shifted):
     assert (stride == 1 and shifted_path(ho, wo, k)) == shifted
     y = rng.normal(size=(2, ho, wo, 4))
     lhs = np.vdot(T.conv2d(Tensor(x), Tensor(w), None, stride, "same").data, y)
-    rhs = np.vdot(x, T.conv2d_transpose(Tensor(y), Tensor(w), None, stride, "same").data)
+    rhs = np.vdot(x, T.conv2d_transpose(Tensor(y), Tensor(w), None, stride).data)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -545,7 +545,7 @@ def test_conv2d_transpose_is_adjoint_of_conv2d(k, stride, ho, wo, cin, cout, see
     w = rng.normal(size=(k, k, cin, cout))
     ax = T.conv2d(Tensor(x), Tensor(w), None, stride, "same").data
     y = rng.normal(size=ax.shape)
-    aty = T.conv2d_transpose(Tensor(y), Tensor(w), None, stride, "same").data
+    aty = T.conv2d_transpose(Tensor(y), Tensor(w), None, stride).data
     assert_adjoint(np.vdot(ax, y), np.vdot(x, aty), np.linalg.norm(ax) * np.linalg.norm(y))
 
 
@@ -624,7 +624,8 @@ def test_conv2d_backward_keeps_no_patch_matrix(rng, op, stride, padding, shape):
     # The same input and output channels: conv2d_transpose's kernel is [K, K, Cout, Cin].
     kernel = (3, 3, 4, 5) if op is T.conv2d else (3, 3, 5, 4)
     w = Tensor(rng.normal(size=kernel), requires_grad=True)
-    out = op(x, w, Tensor(np.zeros(5)), stride, padding)
+    # conv2d_transpose pads as the 'same' conv2d it is the adjoint of.
+    out = op(x, w, Tensor(np.zeros(5)), stride, *([padding] if op is T.conv2d else []))
     pad = 2 if padding == "same" else 0
     xpad_bytes = n * (h + pad) * (wd + pad) * c * 8
     limit = max(xpad_bytes, out.data.nbytes)
@@ -642,7 +643,7 @@ def test_conv2d_transpose_single_pixel_scatter():
     v = 2.5
     x = np.full((1, 1, 1, 1), v)
     k = np.arange(4.0).reshape(2, 2, 1, 1)
-    out = T.conv2d_transpose(Tensor(x), Tensor(k), None, 2, "same")
+    out = T.conv2d_transpose(Tensor(x), Tensor(k), None, 2)
     np.testing.assert_allclose(out.data[0, :, :, 0], v * k[:, :, 0, 0], rtol=1e-15)
 
 
@@ -657,7 +658,7 @@ def test_conv2d_transpose_matches_scatter_oracle(rng, k, h):
     x = rng.normal(size=(2, h, h, 2))
     w = rng.normal(size=(k, k, 3, 2))
     b = rng.normal(size=3)
-    out = T.conv2d_transpose(Tensor(x), Tensor(w), Tensor(b), 2, "same")
+    out = T.conv2d_transpose(Tensor(x), Tensor(w), Tensor(b), 2)
     np.testing.assert_allclose(out.data, conv2d_transpose_oracle(x, w, b, 2), atol=1e-12)
 
 

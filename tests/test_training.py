@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vit2img.tensor as T
+import vit2img.training as training
 from vit2img.data import synth_segmentation_dataset
 from vit2img.errors import ContractError, DataError, DimensionError, NumericError
 from vit2img.layers import BATCH_NORM_MOMENTUM, BatchNorm
@@ -212,7 +213,7 @@ def test_train_loss_decreases_smoke():
     assert records[-1].loss < records[0].loss
 
 
-def test_single_step_descent_direction(rng):
+def test_single_step_descent_direction(rng, monkeypatch):
     # for a small enough lr, one step on a fixed batch reduces that batch's loss
     g = tiny_model(seed=21)
     data = tiny_dataset(2, seed=5)
@@ -220,8 +221,8 @@ def test_single_step_descent_direction(rng):
     targets = np.stack([s.target for s in data])
     loss0 = compute_loss(g, inputs, targets, "scc", "train")
     T.backward(loss0)
-    state = AdamState(lr=1e-5)
-    adam_step(list(g.named_parameters()), state)
+    monkeypatch.setattr(training, "ADAM_LR", 1e-5)
+    adam_step(list(g.named_parameters()), AdamState())
     g.zero_grad()
     with T.no_grad():
         loss1 = compute_loss(g, inputs, targets, "scc", "train")
