@@ -168,8 +168,9 @@ class RunConfig(dict):
 
 
 def resolve_dataset(cfg: RunConfig, size: int) -> tuple[list[PairedSample], str, int, int]:
-    """Return (samples, task, classes, image_size) from synthetic or manifest flags.
+    """Return (samples, task, channels, image_size) from synthetic or manifest flags.
 
+    ``channels`` is the class count, or a regression target's channel count.
     ``size`` is the synthetic image size where neither the spec nor an
     ``image_size`` setting gives one.  The dataset decides the task; a
     configured ``task`` must agree with it.
@@ -200,17 +201,20 @@ def resolve_dataset(cfg: RunConfig, size: int) -> tuple[list[PairedSample], str,
         raise DataError(f"dataset {cfg.get('synthetic') or cfg.get('manifest')} has no samples")
     if cfg.get("task", task) != task:
         raise ConfigError(f"configured task {cfg.get('task')!r} does not match the dataset's task {task!r}")
-    return samples, task, classes, image_size
+    channels = classes if task == "segmentation" else samples[0].target.shape[-1]
+    return samples, task, channels, image_size
 
 
-def model_config_from(cfg: RunConfig, task: str, classes: int, image_size: int) -> ModelConfig:
+def model_config_from(cfg: RunConfig, task: str, channels: int, image_size: int) -> ModelConfig:
     """The configured model; task, image size and out_channels default to the dataset's."""
-    implied = {"task": task, "image_size": image_size,
-               "out_channels": classes if task == "segmentation" else 1}
+    implied = {"task": task, "image_size": image_size, "out_channels": channels}
     mc = ModelConfig(**{f.name: cfg.get(f.name, implied.get(f.name, f.default))
                         for f in fields(ModelConfig)})
     if mc.image_size != image_size:
         raise ConfigError(f"model image_size {mc.image_size} does not match the dataset's {image_size}")
+    if task == "regression" and mc.out_channels != channels:
+        raise ConfigError(f"model out_channels {mc.out_channels} does not match the dataset's "
+                          f"{channels}-channel targets")
     return mc.validated()
 
 
@@ -280,8 +284,8 @@ def _run_directory(cfg: RunConfig) -> Path:
 def training_run(cfg: RunConfig) -> tuple[Path, list[PairedSample], ModelConfig, dict]:
     """A training command's run directory, dataset, model and checked budget (``train`` kwargs)."""
     out_dir = _run_directory(cfg)
-    samples, task, classes, image_size = resolve_dataset(cfg, ModelConfig.image_size)
-    mc = model_config_from(cfg, task, classes, image_size)
+    samples, task, channels, image_size = resolve_dataset(cfg, ModelConfig.image_size)
+    mc = model_config_from(cfg, task, channels, image_size)
     budget = dict(epochs=cfg.get("epochs", 1), batch_size=cfg.get("batch_size", 4),
                   max_steps=cfg.get("steps"))
     check_budget(**budget)
@@ -319,12 +323,15 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     out_dir = _run_directory(cfg)
     gen = load_checkpoint(cfg.require("checkpoint"))
-    samples, task, classes, image_size = resolve_dataset(cfg, gen.config.image_size)
+    samples, task, channels, image_size = resolve_dataset(cfg, gen.config.image_size)
     if task != gen.config.task:
         raise ConfigError(f"dataset task {task!r} does not match checkpoint task {gen.config.task!r}")
     if image_size != gen.config.image_size:
         raise ConfigError(f"dataset image size {image_size} does not match checkpoint "
                           f"image_size {gen.config.image_size}")
+    if task == "regression" and channels != gen.config.out_channels:
+        raise ConfigError(f"dataset targets have {channels} channels, checkpoint out_channels "
+                          f"{gen.config.out_channels}")
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.echo(out_dir / "config.txt")
     variant = gen.config.variant

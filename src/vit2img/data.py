@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DecodeError, DimensionError
+from .models import TASKS
 
 # Fixed rendering palette for class maps (K <= 8).
 PALETTE = np.array([
@@ -327,6 +328,11 @@ def read_manifest(path) -> DatasetManifest:
             sizes[key] = int(header[key])
         except ValueError:
             raise DataError(f"{path}: manifest header {key} = {header[key]!r} is not an integer") from None
+    if header["task"] not in TASKS:
+        raise DataError(f"{path}: manifest header task = {header['task']!r} is not one of {', '.join(TASKS)}")
+    if header["task"] == "segmentation" and not 2 <= sizes["classes"] <= len(PALETTE):
+        raise DataError(f"{path}: manifest header classes = {sizes['classes']} is not from 2 to "
+                        f"the palette's {len(PALETTE)}")
     return DatasetManifest(root=path.parent, task=header["task"], pairs=pairs, **sizes)
 
 
@@ -334,7 +340,7 @@ def load_manifest_dataset(manifest: DatasetManifest) -> list[PairedSample]:
     """Load image pairs listed in a manifest.
 
     Segmentation targets are PPMs whose red channel holds the class index;
-    regression targets use all channels (or channel 0 for 1-channel tasks).
+    regression targets keep all three channels of their PPM.
     """
     samples = []
     for i, (inp_rel, tgt_rel) in enumerate(manifest.pairs):

@@ -72,13 +72,25 @@ class ModelConfig:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if self.image_size <= 0 or self.out_channels <= 0 or self.seed < 0:
-            raise ConfigError("image_size and out_channels must be positive, seed nonnegative")
+        schedule = self.decoder_schedule
+        if schedule is not None:
+            if not isinstance(schedule, (list, tuple)) \
+                    or not all(isinstance(s, (list, tuple)) and len(s) == 2 for s in schedule):
+                raise ConfigError(f"decoder_schedule must be (transpose, residual) channel pairs, "
+                                  f"got {schedule!r}")
+            self.decoder_schedule = tuple(tuple(s) for s in schedule)
+        # The least value of each integer field; None leaves an optional one unset.
+        least = {"image_size": 1, "patch_size": 1, "embed_dim": 1, "num_heads": 1, "ffn_width": 1,
+                 "num_transformer_layers": 0, "out_channels": 1, "in_channels": 1,
+                 "skip_projection_channels": 1, "seed": 0}
+        checks = [(name, getattr(self, name), low) for name, low in least.items()]
+        checks += [(f"decoder_schedule[{i}]", ch, 1)
+                   for i, pair in enumerate(self.decoder_schedule or ()) for ch in pair]
+        for name, value, low in checks:
+            if (type(value) is not int or value < low) \
+                    and not (name == "skip_projection_channels" and value is None):
+                raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
         if self.variant in ("A", "B", "C"):
-            if min(self.patch_size, self.embed_dim, self.num_heads, self.ffn_width) <= 0 \
-                    or self.num_transformer_layers < 0:
-                raise ConfigError("patch_size, embed_dim, num_heads and ffn_width must be positive, "
-                                  "num_transformer_layers nonnegative")
             if self.image_size % self.patch_size != 0:
                 raise ConfigError(
                     f"image size {self.image_size} is not divisible by patch size {self.patch_size}"
@@ -94,30 +106,15 @@ class ModelConfig:
                         f"no default decoder schedule for patch size {self.patch_size}; pass one explicitly"
                     )
                 self.decoder_schedule = DEFAULT_SCHEDULE[-int(stages):]
-            else:
-                self.decoder_schedule = tuple(tuple(s) for s in self.decoder_schedule)
-                if 2 ** len(self.decoder_schedule) != self.patch_size:
-                    raise ConfigError(
-                        f"decoder schedule of {len(self.decoder_schedule)} stages upsamples "
-                        f"{2 ** len(self.decoder_schedule)}x but patch size {self.patch_size} requires "
-                        f"patch_size-fold upsampling to restore the image size"
-                    )
+            elif 2 ** len(self.decoder_schedule) != self.patch_size:
+                raise ConfigError(
+                    f"decoder schedule of {len(self.decoder_schedule)} stages upsamples "
+                    f"{2 ** len(self.decoder_schedule)}x but patch size {self.patch_size} requires "
+                    f"patch_size-fold upsampling to restore the image size"
+                )
         if self.skip_projection_channels is not None and self.variant != "B":
             raise ConfigError("skip_projection_channels applies to variant B only")
         return self
-
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        if d["decoder_schedule"] is not None:
-            d["decoder_schedule"] = [list(s) for s in d["decoder_schedule"]]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        if d.get("decoder_schedule") is not None:
-            d["decoder_schedule"] = tuple(tuple(s) for s in d["decoder_schedule"])
-        return cls(**d).validated()
 
 
 class Generator(Module):
@@ -282,22 +279,30 @@ def build_generator(config: ModelConfig) -> Generator:
 #           2 optimizer), u8 ndim, ndim * u32 dims, float64 payload
 #   crc32   u32      over every preceding byte
 #
-# A load reads the file once, front to back: each payload goes straight into
-# its final array, after its declared size is checked against the bytes the
-# file has left, so a load holds about one file's worth of memory.  The CRC
-# folds over the same bytes as they arrive and is checked before anything is
-# returned.  Any other fault (version, header, record layout, truncation) is
-# reported only once the whole-file CRC has matched; on that path the CRC is
-# taken by a second read.  Parameter and buffer values must be finite.
-#
-# The model is built from the header's config without drawing initial values
-# (the file replaces them all), so every parameter and buffer record must be
-# present, with the model's shape, before the model is returned.
+# A load reads the file once, front to back.  It builds the model from the
+# header's config without drawing initial values, then reads each parameter
+# and buffer payload straight into the model's own float64 array (native
+# order, which is the layout's on a little-endian host) once the payload's
+# declared size fits the bytes the file has left and its name, kind and
+# shape match the model; so a load holds about one file's worth of memory.
+# A name read twice or not in the model is refused, as is a model array that
+# no record fills.  The CRC folds over the same bytes as they arrive and is
+# checked before anything is returned.  Any other fault is reported only once
+# the whole-file CRC has matched; on that path the CRC is taken by a second
+# read.  Parameter and buffer values must be finite.
 
 CHECKPOINT_MAGIC = b"V2IG"
 CHECKPOINT_VERSION = 1
 
 KIND_PARAM, KIND_BUFFER, KIND_OPT = 0, 1, 2
+
+
+def _named_arrays(gen: Generator):
+    """(name, kind, array) for each parameter, then each buffer, of ``gen``."""
+    for name, p in gen.named_parameters():
+        yield name, KIND_PARAM, p.data
+    for name, arr in gen.named_buffers():
+        yield name, KIND_BUFFER, arr
 
 
 class _RunningCrc:
@@ -368,12 +373,11 @@ def save_checkpoint(gen: Generator, path, optimizer_state: Optional[dict] = None
     one rename, so a failed save leaves any earlier file at ``path`` intact.
     """
     header = json.dumps({
-        "config": gen.config.to_dict(),
+        "config": vars(gen.config),
         "constants": DESIGN_CONSTANTS,
         "seed": gen.config.seed,
     }, sort_keys=True).encode("utf-8")
-    records = [(name, KIND_PARAM, p.data) for name, p in gen.named_parameters()]
-    records += [(name, KIND_BUFFER, arr) for name, arr in gen.named_buffers()]
+    records = list(_named_arrays(gen))
     if optimizer_state is not None:
         records.append(("adam.t", KIND_OPT, np.array([float(optimizer_state["t"])])))
         for name, (m, v) in optimizer_state["moments"].items():
@@ -408,101 +412,70 @@ class _Reader:
         self.f, self.size, self.crc = f, size, crc
         self.pos = 0
 
-    def _claim(self, n: int) -> None:
+    def claim(self, n: int) -> None:
         if self.pos + n > self.size:
             raise CheckpointFormatError(
                 f"checkpoint truncated: wanted {n} bytes at offset {self.pos}, file has {self.size}"
             )
         self.pos += n
 
-    def take(self, n: int) -> bytes:
-        self._claim(n)
-        out = self.f.read(n)
-        if len(out) != n:
+    def fill(self, buf):
+        """Read ``buf``'s bytes into it; the caller has claimed them."""
+        n = memoryview(buf).nbytes
+        if self.f.readinto(buf) != n:
             raise CheckpointFormatError(f"checkpoint truncated: file ends inside {n} bytes")
-        self.crc.update(out)
-        return out
+        self.crc.update(buf)
+        return buf
 
-    def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        n = 8 * prod(shape)
-        self._claim(n)
-        arr = np.empty(shape, dtype="<f8")
-        if self.f.readinto(arr) != n:
-            raise CheckpointFormatError(f"checkpoint truncated: file ends inside {n} bytes")
-        self.crc.update(arr)
-        return arr
+    def take(self, n: int) -> bytearray:
+        self.claim(n)
+        return self.fill(bytearray(n))
 
-    def u8(self):
-        return self.take(1)[0]
-
-    def u16(self):
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def _parse(r: _Reader, path):
-    """The config and the name -> (kind, array) records, in file order."""
+def _parse(r: _Reader, path) -> tuple[Generator, dict[str, np.ndarray]]:
+    """The header's model, every parameter and buffer read into it, and the optimizer records."""
     r.take(4)
-    version = r.u32()
+    (version,) = r.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"{path}: format version {version} unsupported (expected {CHECKPOINT_VERSION})"
         )
     try:
-        fields = json.loads(str(r.take(r.u32()), "utf-8"))["config"]
-        if not isinstance(fields, dict):
-            raise TypeError(f"config is a {type(fields).__name__}, not an object")
-        config = ModelConfig.from_dict(fields)
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ConfigError) as e:
+        fields = json.loads(str(r.take(r.unpack("<I")[0]), "utf-8"))["config"]
+        gen = Generator(ModelConfig(**fields), rng=_NoDraws())  # TypeError unless fields is an object
+    except (ValueError, KeyError, TypeError, MemoryError, OverflowError) as e:
+        # ValueError covers bad UTF-8 or JSON, a ConfigError and a shape too large for numpy
         raise CheckpointFormatError(f"{path}: malformed header: {type(e).__name__}: {e}") from e
-    count = r.u32()
-    records: dict[str, tuple[int, np.ndarray]] = {}
-    for _ in range(count):
+    unread = {name: (kind, arr) for name, kind, arr in _named_arrays(gen)}
+    optimizer: dict[str, np.ndarray] = {}
+    for _ in range(r.unpack("<I")[0]):
         try:
-            name = str(r.take(r.u16()), "utf-8")
+            name = str(r.take(r.unpack("<H")[0]), "utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointFormatError(f"{path}: record name is not UTF-8 at offset {r.pos}") from e
-        kind = r.u8()
-        ndim = r.u8()
-        shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        records[name] = (kind, r.array(shape))
+        kind, ndim = r.unpack("<BB")
+        shape = r.unpack(f"<{ndim}I")
+        r.claim(8 * prod(shape))
+        if kind == KIND_OPT:
+            optimizer[name] = r.fill(np.empty(shape))
+            continue
+        expected, arr = unread.pop(name, (None, None))
+        if kind != expected:
+            raise CheckpointMismatchError(f"{path}: record {name} (kind {kind}) is not an unread "
+                                          f"parameter or buffer of the model its config builds")
+        if arr.shape != shape:
+            raise CheckpointMismatchError(
+                f"{path}: stored {name} has shape {shape}, model expects {arr.shape}"
+            )
+        r.fill(arr)
     r.take(r.size - r.pos)  # bytes after the last record are covered by the CRC too
-    return config, records
-
-
-def _read_records(path):
-    try:
-        with open(path, "rb") as f, _RunningCrc() as crc:
-            size = os.fstat(f.fileno()).st_size
-            if f.read(4) != CHECKPOINT_MAGIC:
-                raise CheckpointFormatError(f"{path}: bad magic bytes, not a checkpoint")
-            if size < 8:
-                raise CheckpointFormatError(f"{path}: truncated before version field")
-            f.seek(-4, os.SEEK_END)
-            (stored_crc,) = struct.unpack("<I", f.read(4))
-            f.seek(0)
-            try:
-                config, records = _parse(_Reader(f, size - 4, crc), path)
-            except CheckpointError:
-                f.seek(0)  # a second read: a CRC mismatch outranks what the parse found
-                if zlib.crc32(f.read(size - 4)) != stored_crc:
-                    raise CheckpointFormatError(f"{path}: CRC mismatch, file is corrupt") from None
-                raise
-            # Scanned while the worker finishes the CRC, by min and max (which
-            # NaN and infinities reach) so that no array-sized temporary is made.
-            non_finite = next((name for name, (kind, arr) in records.items()
-                               if kind in (KIND_PARAM, KIND_BUFFER)
-                               and not np.isfinite([arr.min(initial=0.0), arr.max(initial=0.0)]).all()),
-                              None)
-            if crc.value() != stored_crc:
-                raise CheckpointFormatError(f"{path}: CRC mismatch, file is corrupt")
-    except OSError as e:
-        raise CheckpointFormatError(f"cannot read checkpoint {path}: {e}") from e
-    if non_finite is not None:
-        raise CheckpointFormatError(f"{path}: record {non_finite} holds a non-finite value")
-    return config, records
+    if unread:
+        raise CheckpointMismatchError(f"{path}: no record for {sorted(unread)[:4]} of the model "
+                                      f"its config builds")
+    return gen, optimizer
 
 
 def load_checkpoint(path, with_state: bool = False):
@@ -511,41 +484,37 @@ def load_checkpoint(path, with_state: bool = False):
     With ``with_state`` the saved Adam state (or None) is returned alongside
     the generator.
     """
-    config, records = _read_records(path)
-    gen = Generator(config, rng=_NoDraws())
-    file_params = {n for n, (k, _) in records.items() if k == KIND_PARAM}
-    file_buffers = {n for n, (k, _) in records.items() if k == KIND_BUFFER}
-    model_params = {n for n, _ in gen.named_parameters()}
-    model_buffers = {n for n, _ in gen.named_buffers()}
-    if file_params != model_params or file_buffers != model_buffers:
-        missing = sorted(model_params - file_params) + sorted(model_buffers - file_buffers)
-        extra = sorted(file_params - model_params) + sorted(file_buffers - model_buffers)
-        raise CheckpointMismatchError(
-            f"{path}: parameter name set does not match its own config "
-            f"(missing {missing[:4]}, unexpected {extra[:4]})"
-        )
-
-    def stored(name, shape):
-        arr = records[name][1]
-        if arr.shape != shape:
-            raise CheckpointMismatchError(
-                f"{path}: stored {name} has shape {arr.shape}, model expects {shape}"
-            )
-        return arr
-
-    for name, p in gen.named_parameters():
-        p.data = np.ascontiguousarray(stored(name, p.shape))
-    for name, buf in gen.named_buffers():
-        buf[...] = stored(name, buf.shape)
+    try:
+        with open(path, "rb") as f, _RunningCrc() as crc:
+            size = os.fstat(f.fileno()).st_size
+            if f.read(4) != CHECKPOINT_MAGIC:
+                raise CheckpointFormatError(f"{path}: bad magic bytes, not a checkpoint")
+            f.seek(-4, os.SEEK_END)
+            (stored_crc,) = struct.unpack("<I", f.read(4))
+            f.seek(0)
+            try:
+                gen, optimizer = _parse(_Reader(f, size - 4, crc), path)
+            except CheckpointError:
+                f.seek(0)  # a second read: a CRC mismatch outranks what the parse found
+                if zlib.crc32(f.read(size - 4)) != stored_crc:
+                    raise CheckpointFormatError(f"{path}: CRC mismatch, file is corrupt") from None
+                raise
+            # Scanned while the worker finishes the CRC, by min and max (which
+            # NaN and infinities reach) so that no array-sized temporary is made.
+            non_finite = next((name for name, _, arr in _named_arrays(gen)
+                               if not np.isfinite([arr.min(initial=0.0), arr.max(initial=0.0)]).all()),
+                              None)
+            if crc.value() != stored_crc:
+                raise CheckpointFormatError(f"{path}: CRC mismatch, file is corrupt")
+    except OSError as e:
+        raise CheckpointFormatError(f"cannot read checkpoint {path}: {e}") from e
+    if non_finite is not None:
+        raise CheckpointFormatError(f"{path}: record {non_finite} holds a non-finite value")
     if not with_state:
         return gen
-    state = None
-    if "adam.t" in records:
-        moments = {}
-        for name, _ in gen.named_parameters():
-            m = records.get(f"adam.m.{name}")
-            v = records.get(f"adam.v.{name}")
-            if m is not None and v is not None:
-                moments[name] = (m[1], v[1])
-        state = {"t": int(records["adam.t"][1][0]), "moments": moments}
-    return gen, state
+    if "adam.t" not in optimizer:
+        return gen, None
+    moments = {name: (optimizer[f"adam.m.{name}"], optimizer[f"adam.v.{name}"])
+               for name, _ in gen.named_parameters()
+               if f"adam.m.{name}" in optimizer and f"adam.v.{name}" in optimizer}
+    return gen, {"t": int(optimizer["adam.t"][0]), "moments": moments}

@@ -67,6 +67,17 @@ def record_heads(blob) -> list[tuple[str, int, int]]:
     return heads
 
 
+def read_records(blob) -> dict[str, tuple[int, np.ndarray]]:
+    """name -> (kind, array) per checkpoint record, found by ``record_heads``."""
+    records = {}
+    for name, head, payload in record_heads(blob):
+        at = head + 2 + len(name.encode())
+        kind, ndim = blob[at], blob[at + 1]
+        shape = struct.unpack_from(f"<{ndim}I", blob, at + 2)
+        records[name] = (kind, np.frombuffer(blob, "<f8", int(np.prod(shape)), payload).reshape(shape))
+    return records
+
+
 def write_manifest(manifest: DatasetManifest, path) -> None:
     """Write ``manifest`` in the format that ``read_manifest`` reads."""
     with open(path, "w") as f:

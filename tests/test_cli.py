@@ -2,20 +2,21 @@ import json
 import re
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import record_heads, write_manifest
+from conftest import read_records, record_heads, write_manifest
 from vit2img.cli import (SETTINGS, RunConfig, build_parser, main, parse_config_file,
                          parse_synthetic_spec)
 from vit2img.data import (PALETTE, DatasetManifest, float_to_byte, load_image,
                           load_manifest_dataset, read_manifest, save_image)
 from vit2img.errors import (CheckpointFormatError, CheckpointMismatchError, ConfigError,
                             DataError, DecodeError)
-from vit2img.models import (KIND_BUFFER, KIND_PARAM, ModelConfig, _pack_record, _read_records,
+from vit2img.models import (KIND_BUFFER, KIND_PARAM, ModelConfig, _pack_record,
                             build_generator, load_checkpoint, save_checkpoint)
 
 TINY_MODEL = ["--image-size", "16", "--patch-size", "4", "--embed-dim", "8",
@@ -210,6 +211,13 @@ REJECTED = [
     ("compare-out-under-a-file", ["compare", *SHAPES, *TINY_MODEL, "--out", "{tmp}/empty-out.cfg/run"], 2),
     ("infer-output-in-missing-directory",
      ["infer", "--checkpoint", "{ckpt}", "--input", "{tmp}/in.ppm", "--output", "{tmp}/run/out.ppm"], 2),
+    ("train-manifest-task-bogus", ["train", "--manifest", "{tmp}/bogus-task.manifest", *TINY_MODEL], 3),
+    ("train-manifest-classes-9", ["train", "--manifest", "{tmp}/classes-9.manifest", *TINY_MODEL], 3),
+    ("train-manifest-classes-1", ["train", "--manifest", "{tmp}/classes-1.manifest", *TINY_MODEL], 3),
+    ("train-regression-manifest-out-channels-1",
+     ["train", "--manifest", "{tmp}/regression.manifest", *TINY_MODEL, "--out-channels", "1"], 2),
+    ("eval-regression-manifest-1-channel-checkpoint",
+     ["eval", "--checkpoint", "{tmp}/depth.ckpt", "--manifest", "{tmp}/regression.manifest"], 2),
 ]
 
 
@@ -224,6 +232,13 @@ def test_rejected_invocation_leaves_no_run_directory(tmp_path, tiny_checkpoint, 
     (tmp_path / "nan-stop.cfg").write_text("stop_loss = nan\n")
     (tmp_path / "latin1.cfg").write_bytes("seed = 1\n# caf\u00e9\n".encode("latin-1"))
     save_image(np.zeros((16, 16, 3)), tmp_path / "in.ppm")
+    save_image(np.full((16, 16, 3), -1.0), tmp_path / "tgt.ppm")  # class 0 everywhere
+    for name, task, classes in (("bogus-task", "bogus", 3), ("classes-9", "segmentation", 9),
+                                ("classes-1", "segmentation", 1), ("regression", "regression", 1)):
+        write_manifest(DatasetManifest(root=tmp_path, task=task, classes=classes, image_size=16,
+                                       pairs=[("in.ppm", "tgt.ppm")]), tmp_path / f"{name}.manifest")
+    depth = replace(load_checkpoint(tiny_checkpoint).config, task="regression", out_channels=1)
+    save_checkpoint(build_generator(depth), tmp_path / "depth.ckpt")
     monkeypatch.chdir(tmp_path)
     before = sorted(tmp_path.iterdir())
     out = tmp_path / "run"
@@ -446,6 +461,21 @@ def test_eval_regression_checkpoint(tmp_path):
     assert rc == 3
 
 
+def test_regression_manifest_model_outputs_its_targets_channels(tmp_path):
+    # PPM targets keep three channels, so the model defaults to out_channels 3.
+    save_image(np.zeros((16, 16, 3)), tmp_path / "in.ppm")
+    save_image(np.full((16, 16, 3), 0.5), tmp_path / "tgt.ppm")
+    manifest = tmp_path / "data.manifest"
+    write_manifest(DatasetManifest(root=tmp_path, task="regression", classes=1, image_size=16,
+                                   pairs=[("in.ppm", "tgt.ppm")] * 2), manifest)
+    out = tmp_path / "run"
+    assert main(["train", "--manifest", str(manifest), "--out", str(out), "--steps", "1", *TINY_MODEL]) == 0
+    assert "out_channels = 3" in (out / "config.txt").read_text()
+    assert load_checkpoint(out / "checkpoint.ckpt").config.out_channels == 3
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.ckpt"), "--manifest", str(manifest),
+                 "--out", str(tmp_path / "e")]) == 0
+
+
 def test_eval_synthetic_size_defaults_to_checkpoint(tmp_path, tiny_checkpoint):
     # tiny_checkpoint is 16 px; the spec gives no size.
     out = tmp_path / "e"
@@ -556,11 +586,25 @@ def with_records(edit):
     def make(tmp_path, ckpt):
         blob = ckpt.read_bytes()
         (n,) = struct.unpack("<I", blob[8:12])
-        _, records = _read_records(ckpt)
+        records = read_records(blob)
         edit(records)
         packed = (_pack_record(name, kind, arr) for name, (kind, arr) in records.items())
         return checkpoint_case(tmp_path, b"".join([blob[:12 + n], struct.pack("<I", len(records)),
                                                    *(head + arr.tobytes() for head, arr in packed)]))
+    return make
+
+
+def stored_twice(record: str):
+    """A copy of the checkpoint that stores ``record`` again, as zeros, after
+    every other record."""
+    def make(tmp_path, ckpt):
+        body = ckpt.read_bytes()[:-4]
+        (n,) = struct.unpack("<I", body[8:12])
+        records = read_records(body)
+        kind, arr = records[record]
+        head, payload = _pack_record(record, kind, np.zeros_like(arr))
+        return checkpoint_case(tmp_path, b"".join([body[:12 + n], struct.pack("<I", len(records) + 1),
+                                                   body[16 + n:], head, payload.tobytes()]))
     return make
 
 
@@ -608,12 +652,23 @@ MALFORMED = [
     ("header-unknown-config-key", config_with(bogus=1), CheckpointFormatError),
     ("header-variant-z", config_with(variant="Z"), CheckpointFormatError),
     ("header-seed-negative", config_with(seed=-1), CheckpointFormatError),
+    ("header-in-channels-negative", config_with(in_channels=-1), CheckpointFormatError),
+    ("header-schedule-channel-negative", config_with(decoder_schedule=[[-8, 64], [32, 32]]),
+     CheckpointFormatError),
+    ("header-schedule-channel-0", config_with(decoder_schedule=[[64, 0], [32, 32]]), CheckpointFormatError),
+    ("header-schedule-triple", config_with(decoder_schedule=[[64, 64, 64], [32, 32]]), CheckpointFormatError),
+    ("header-schedule-string", config_with(decoder_schedule="ab"), CheckpointFormatError),
+    ("header-patch-size-float", config_with(patch_size=4.0), CheckpointFormatError),
+    ("header-ffn-width-4e9", config_with(ffn_width=4_000_000_000), CheckpointFormatError),
+    ("header-embed-dim-2e6", config_with(embed_dim=2_000_000), CheckpointFormatError),
+    ("header-ffn-width-1e400", config_with(ffn_width=10 ** 400), CheckpointFormatError),
     ("param-nan", record_value("encoder.patch.bias", float("nan")), CheckpointFormatError),
     ("running-var-inf", record_value("decoder.stages.0.bn.running_var", float("inf")),
      CheckpointFormatError),
     ("param-missing", with_records(lambda records: records.pop("head.conv.bias")),
      CheckpointMismatchError),
     ("param-extra", stored_as("head.conv.extra", KIND_PARAM, (3,)), CheckpointMismatchError),
+    ("param-twice", stored_twice("head.conv.bias"), CheckpointMismatchError),
     ("param-shape", stored_as("head.conv.bias", KIND_PARAM, (4,)), CheckpointMismatchError),
     ("running-mean-shape-1", stored_as("decoder.stages.0.bn.running_mean", KIND_BUFFER, (1,)),
      CheckpointMismatchError),
@@ -626,6 +681,9 @@ MALFORMED = [
      DataError),
     ("manifest-not-utf8", manifest_text(b"task = segmentation\nclasses = 3\nimage_size = 16\n# caf\xe9\n"),
      DataError),
+    ("manifest-task-bogus", manifest_text(b"task = bogus\nclasses = 3\nimage_size = 16\n"), DataError),
+    ("manifest-classes-9", manifest_text(b"task = segmentation\nclasses = 9\nimage_size = 16\n"), DataError),
+    ("manifest-classes-1", manifest_text(b"task = segmentation\nclasses = 1\nimage_size = 16\n"), DataError),
 ]
 
 
@@ -648,6 +706,16 @@ def test_invalid_header_config_names_the_file(tmp_path, tiny_checkpoint):
 def test_manifest_header_error_names_the_file_and_key(tmp_path, tiny_checkpoint):
     load, _ = manifest_text(b"task = segmentation\nclasses = x\nimage_size = 16\n")(tmp_path, tiny_checkpoint)
     with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'data.manifest'}: manifest header classes = 'x'")):
+        load()
+
+
+@pytest.mark.parametrize("key, text", [
+    ("task", b"task = bogus\nclasses = 3\nimage_size = 16\n"),
+    ("classes", b"task = segmentation\nclasses = 9\nimage_size = 16\n"),
+])
+def test_manifest_task_and_classes_errors_name_the_file_and_key(tmp_path, tiny_checkpoint, key, text):
+    load, _ = manifest_text(text)(tmp_path, tiny_checkpoint)
+    with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'data.manifest'}: manifest header {key} = ")):
         load()
 
 

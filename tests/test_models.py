@@ -10,10 +10,10 @@ import pytest
 
 import vit2img.tensor as T
 from conftest import record_heads
-from vit2img.errors import (CheckpointFormatError, CheckpointVersionError,
-                            ConfigError, DimensionError)
-from vit2img.models import (ModelConfig, _read_records, _RunningCrc,
-                            build_generator, load_checkpoint, save_checkpoint)
+from vit2img.errors import (CheckpointFormatError, CheckpointMismatchError,
+                            CheckpointVersionError, ConfigError, DimensionError)
+from vit2img.models import (ModelConfig, _RunningCrc, build_generator, load_checkpoint,
+                            save_checkpoint)
 from vit2img.training import AdamState, adam_step, mae_loss
 
 
@@ -427,21 +427,20 @@ def test_load_draws_no_initial_values(tmp_path, monkeypatch, variant):
         == [(n, b.tobytes()) for n, b in gen.named_buffers()]
 
 
-def test_read_records_holds_about_one_file(tmp_path):
-    gen = build_generator(tiny_config(image_size=32, patch_size=8,
-                                      decoder_schedule=((128, 128), (64, 64), (32, 32))))
+def test_load_holds_about_one_file(tmp_path):
+    # Each record is read straight into the array of the model it builds.
+    gen = build_generator(ModelConfig(seed=0))
     path = tmp_path / "model.ckpt"
     save_checkpoint(gen, path)
     size = path.stat().st_size
-    assert size >= 4_000_000
     tracemalloc.start()
     try:
-        _, records = _read_records(path)
+        loaded = load_checkpoint(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(records) == len(gen.shape_manifest()) + len(list(gen.named_buffers()))
-    assert peak <= 1.2 * size
+    assert [n for n, _ in loaded.named_parameters()] == [n for n, _ in gen.named_parameters()]
+    assert peak <= 1.05 * size
 
 
 @pytest.mark.parametrize("dims", [(2 ** 32 - 1, 2 ** 32 - 1), (2 ** 20, 2 ** 20)])
@@ -521,6 +520,13 @@ def test_no_thread_outlives_a_save_or_load(tmp_path, monkeypatch):
     corrupt = tmp_path / "corrupt.ckpt"
     corrupt.write_bytes(bytes(blob))
     with pytest.raises(CheckpointFormatError, match="CRC"):
+        load_checkpoint(corrupt)
+    assert threading.active_count() == before
+    body = bytearray(path.read_bytes()[:-4])
+    name, head, _ = record_heads(body)[3]
+    body[head + 1 + len(name)] = ord("x")  # the name's last letter: a record the model lacks
+    rewrite_with_crc(corrupt, body)
+    with pytest.raises(CheckpointMismatchError, match="wx"):
         load_checkpoint(corrupt)
     assert threading.active_count() == before
     pack, calls = models._pack_record, 0
