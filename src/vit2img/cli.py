@@ -25,8 +25,8 @@ from .data import (PALETTE, PairedSample, load_image, load_manifest_dataset,
 from .errors import ConfigError, DataError, NumericError, Vit2ImgError
 from .metrics import (MetricsReport, TinyClassifier, fid, format_table,
                       inception_score, make_extractor, ssim)
-from .models import (TASKS, VARIANTS, Generator, ModelConfig, build_generator,
-                     load_checkpoint)
+from .models import (_VIT_VARIANTS, TASKS, VARIANTS, Generator, ModelConfig,
+                     build_generator, load_checkpoint)
 from .training import check_budget, loss_kind_for_task, train, write_train_log
 
 
@@ -212,9 +212,9 @@ def model_config_from(cfg: RunConfig, task: str, channels: int, image_size: int)
                         for f in fields(ModelConfig)})
     if mc.image_size != image_size:
         raise ConfigError(f"model image_size {mc.image_size} does not match the dataset's {image_size}")
-    if task == "regression" and mc.out_channels != channels:
+    if mc.out_channels != channels:
         raise ConfigError(f"model out_channels {mc.out_channels} does not match the dataset's "
-                          f"{channels}-channel targets")
+                          f"{channels} classes or target channels")
     return mc.validated()
 
 
@@ -329,13 +329,13 @@ def cmd_eval(cfg: RunConfig) -> int:
     if image_size != gen.config.image_size:
         raise ConfigError(f"dataset image size {image_size} does not match checkpoint "
                           f"image_size {gen.config.image_size}")
-    if task == "regression" and channels != gen.config.out_channels:
-        raise ConfigError(f"dataset targets have {channels} channels, checkpoint out_channels "
-                          f"{gen.config.out_channels}")
+    if channels != gen.config.out_channels:
+        raise ConfigError(f"dataset has {channels} classes or target channels, checkpoint "
+                          f"out_channels {gen.config.out_channels}")
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.echo(out_dir / "config.txt")
     variant = gen.config.variant
-    name = f"vit-{variant.lower()}" if variant in ("A", "B", "C") else variant
+    name = f"vit-{variant.lower()}" if variant in _VIT_VARIANTS else variant
     report = evaluate_model(
         gen, samples, cfg.get("extractor", "pixel"), cfg.get("seed", ModelConfig.seed),
         model_name=name, self_eval=bool(cfg.get("self_eval")),

@@ -1,5 +1,5 @@
 """Token grid -> image: transpose-convolution upsampling stages with optional
-residual blocks, plus the skip-concat layer used by the U-Net-style variant.
+residual blocks, the skip concatenation after a stage, and the output head.
 
 Each upsampling stage doubles the spatial size: transposed convolution
 (kernel 4, stride 2, same padding), batch norm, LeakyReLU, then optionally a
@@ -74,20 +74,10 @@ class UpsampleStage(Module):
         return y
 
 
-class SkipProjection(Module):
-    """Optional 1x1 convolution applied to upsampled patch grids before concat."""
-
-    def __init__(self, rng, in_ch: int, out_ch: int):
-        super().__init__()
-        self.conv = self.add_module("conv", Conv2d(rng, in_ch, out_ch, 1))
-
-    def __call__(self, x):
-        return self.conv(x)
-
-
-def upsample_concat(encoded_grid, prev_activation, projection: SkipProjection | None = None) -> Tensor:
-    """Bilinearly upsample a patch grid to the previous activation's spatial
-    size, optionally 1x1-convolve it, and concat on the channel axis."""
+def upsample_concat(encoded_grid, prev_activation, projection: Conv2d | None = None) -> Tensor:
+    """Bilinearly upsample a skip source (a patch grid, or an encoder output
+    already at size) to the previous activation's spatial size, optionally
+    1x1-convolve it, and concat on the channel axis."""
     encoded_grid = T.as_tensor(encoded_grid)
     prev_activation = T.as_tensor(prev_activation)
     _, gh, gw, _ = encoded_grid.shape

@@ -278,36 +278,25 @@ def make_extractor(kind: str, image_size: int, seed: int = 0, channels: int = 3)
 
 @dataclass
 class MetricsReport:
-    """Aggregate metric values for one model over one evaluation set.
-
-    Fields are None when their inputs were not supplied (SSIM needs pairs,
-    FID and IS need sets).
-    """
+    """Aggregate metric values for one model over one evaluation set."""
 
     model: str
-    fid: Optional[float] = None
-    is_score: Optional[float] = None
-    ssim: Optional[float] = None
-    n_samples: int = 0
-    extractor: str = ""
+    fid: float
+    is_score: float
+    ssim: float
+    n_samples: int
+    extractor: str
 
     def key_values(self) -> str:
-        lines = [f"model = {self.model}", f"n_samples = {self.n_samples}",
-                 f"extractor = {self.extractor}"]
-        for key, val in (("fid", self.fid), ("is", self.is_score), ("ssim", self.ssim)):
-            if val is not None:
-                lines.append(f"{key} = {val:.6f}")
-        return "\n".join(lines) + "\n"
+        return (f"model = {self.model}\nn_samples = {self.n_samples}\nextractor = {self.extractor}\n"
+                f"fid = {self.fid:.6f}\nis = {self.is_score:.6f}\nssim = {self.ssim:.6f}\n")
 
 
 def format_table(reports: list[MetricsReport], footer: Optional[str] = None) -> str:
     """Aligned plain-text table with columns Model, FID, IS, SSIM."""
-    def cell(v, fmt="{:.4f}"):
-        return "-" if v is None else fmt.format(v)
-
     rows = [["Model", "FID", "IS", "SSIM"]]
     for r in reports:
-        rows.append([r.model, cell(r.fid, "{:.2f}"), cell(r.is_score), cell(r.ssim)])
+        rows.append([r.model, f"{r.fid:.2f}", f"{r.is_score:.4f}", f"{r.ssim:.4f}"])
     widths = [max(len(row[i]) for row in rows) for i in range(4)]
     lines = ["  ".join(row[i].ljust(widths[i]) for i in range(4)).rstrip() for row in rows]
     if reports:

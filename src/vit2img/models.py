@@ -1,16 +1,20 @@
-"""Generator assembly: encoder + decoder variants A/B/C, the U-Net and
-Autoencoder baselines, and bit-exact checkpoint persistence.
+"""Generator assembly: one encoder -> stage loop -> head design for the
+ViT variants A/B/C and the U-Net and Autoencoder baselines, and bit-exact
+checkpoint persistence.
 
-Variants (all share the patch-encoder/transformer trunk):
-  A: transpose-convolution stages only, then the output head.
-  B: A's trunk with a skip from the encoded patches into every decoder
-     stage: the patch grid is bilinearly upsampled to the previous
-     activation's size (optionally 1x1-convolved) and concatenated.
+The encoder is one of two kinds:
+  A/B/C: patches -> patch encoder -> transformer layers -> token grid.
+  unet/autoencoder: (conv, batch norm, LeakyReLU) rungs of stride 2 down to
+     4x4, then a stride-1 bottleneck rung; so the image size is 4 * 2^k.
+Then each upsampling stage runs in turn; after stage i, its skip, if it has
+one, is concatenated on channels.  Last comes the output head.
+  A: transpose-convolution stages, no skips.
+  B: A's stages; every stage's skip is the encoded patch grid, bilinearly
+     upsampled to the stage output's size (optionally 1x1-convolved).
   C: each transpose-convolution stage is followed by a residual block.
-
-Baselines are plain convolutional encoder/decoder stacks; the U-Net adds
-skip concatenations at matched resolutions and is otherwise identical to
-the Autoencoder.
+  unet: stage i < n-1 takes the output of encoder rung n-2-i, which has its
+     size (after Ronneberger et al. 2015, arXiv 1505.04597).
+  autoencoder: the U-Net without skips.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .decoder import (DEFAULT_SCHEDULE, OutputHead, SkipProjection,
-                      UpsampleStage, tokens_to_grid, upsample_concat)
+from .decoder import DEFAULT_SCHEDULE, OutputHead, UpsampleStage, tokens_to_grid, upsample_concat
 from .encoder import PatchEncoder, TransformerLayer, extract_patches
 from .errors import (CheckpointError, CheckpointFormatError, CheckpointMismatchError,
                      CheckpointVersionError, ConfigError, DimensionError)
@@ -36,7 +39,8 @@ from .layers import (BATCH_NORM_EPS, BATCH_NORM_MOMENTUM, LAYER_NORM_EPS,
                      LEAKY_SLOPE, BatchNorm, Conv2d, Module)
 from .tensor import Tensor
 
-VARIANTS = ("A", "B", "C", "unet", "autoencoder")
+_VIT_VARIANTS = ("A", "B", "C")  # patch encoder and transformer layers
+VARIANTS = (*_VIT_VARIANTS, "unet", "autoencoder")
 TASKS = ("segmentation", "regression")
 
 DESIGN_CONSTANTS = {
@@ -90,7 +94,7 @@ class ModelConfig:
             if (type(value) is not int or value < low) \
                     and not (name == "skip_projection_channels" and value is None):
                 raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
-        if self.variant in ("A", "B", "C"):
+        if self.variant in _VIT_VARIANTS:
             if self.image_size % self.patch_size != 0:
                 raise ConfigError(
                     f"image size {self.image_size} is not divisible by patch size {self.patch_size}"
@@ -112,88 +116,63 @@ class ModelConfig:
                     f"{2 ** len(self.decoder_schedule)}x but patch size {self.patch_size} requires "
                     f"patch_size-fold upsampling to restore the image size"
                 )
+        elif self.image_size < 8 or log2(self.image_size) % 1:
+            raise ConfigError(f"baseline models need an image size of 4 * 2^k, got {self.image_size}")
         if self.skip_projection_channels is not None and self.variant != "B":
             raise ConfigError("skip_projection_channels applies to variant B only")
         return self
 
 
 class Generator(Module):
-    """A built model: parameters plus a variant-dispatched forward pass.
+    """A built model: an encoder, one loop of upsampling stages, each
+    followed by its skip concatenation if it has one, and the output head.
 
     Initial values come from ``rng.uniform`` and ``rng.normal``, by default
     of ``np.random.default_rng(config.seed)``."""
 
     def __init__(self, config: ModelConfig, rng=None):
         super().__init__()
-        self.config = config.validated()
-        rng = np.random.default_rng(config.seed) if rng is None else rng
-        if config.variant in ("A", "B", "C"):
-            self._build_vit(rng)
+        cfg = self.config = config.validated()
+        rng = np.random.default_rng(cfg.seed) if rng is None else rng
+        # Stage i's skip: (index into the encoder's skip sources, optional 1x1 conv).
+        self.skips: dict[int, tuple[int, Optional[Conv2d]]] = {}
+        if cfg.variant in _VIT_VARIANTS:
+            patch = PatchEncoder(rng, cfg.patch_size ** 2 * cfg.in_channels,
+                                 (cfg.image_size // cfg.patch_size) ** 2, cfg.embed_dim)
+            self.patch = self.add_module("encoder.patch", patch)
+            self.layers = [self.add_module(f"encoder.layers.{i}",
+                                           TransformerLayer(rng, cfg.embed_dim, cfg.num_heads, cfg.ffn_width))
+                           for i in range(cfg.num_transformer_layers)]
+            n, in_ch, prefix = len(cfg.decoder_schedule), cfg.embed_dim, "decoder.stages"
+            schedule = [(ct_ch, rl_ch if cfg.variant == "C" else None) for ct_ch, rl_ch in cfg.decoder_schedule]
+            skip_ch = [cfg.skip_projection_channels or cfg.embed_dim if cfg.variant == "B" else 0] * n
         else:
-            self._build_baseline(rng)
-
-    # -- construction -------------------------------------------------------
-
-    def _build_vit(self, rng):
-        cfg = self.config
-        patch = PatchEncoder(rng, cfg.patch_size ** 2 * cfg.in_channels,
-                             (cfg.image_size // cfg.patch_size) ** 2, cfg.embed_dim)
-        self.patch = self.add_module("encoder.patch", patch)
-        self.layers: list[TransformerLayer] = []
-        for i in range(cfg.num_transformer_layers):
-            layer = TransformerLayer(rng, cfg.embed_dim, cfg.num_heads, cfg.ffn_width)
-            self.layers.append(self.add_module(f"encoder.layers.{i}", layer))
+            # Stride-2 (conv, batch norm) rungs down to 4x4; a last, stride-1 rung is the bottleneck.
+            n, in_ch, prefix = int(log2(cfg.image_size // 4)), cfg.in_channels, "dec"
+            ladder = [min(64 * 2 ** i, 512) for i in range(n)]
+            self.layers = []
+            for i, ch in enumerate([*ladder, ladder[-1]]):
+                name, stride = (f"enc.{i}", 2) if i < n else ("bottleneck", 1)
+                conv = self.add_module(f"{name}.conv", Conv2d(rng, in_ch, ch, 3, stride=stride))
+                self.layers.append((conv, self.add_module(f"{name}.bn", BatchNorm(ch))))
+                in_ch = ch
+            schedule = [(ladder[n - 1 - i] // 2, None) for i in range(n)]
+            skip_ch = [0] * n
+            if cfg.variant == "unet":  # the rung whose output matches stage i's size
+                self.skips = {i: (n - 2 - i, None) for i in range(n - 1)}
+                skip_ch = [ladder[n - 2 - i] for i in range(n - 1)] + [0]
         self.stages: list[UpsampleStage] = []
-        skip_ch = 0
-        if cfg.variant == "B":
-            skip_ch = cfg.skip_projection_channels or cfg.embed_dim
-        in_ch = cfg.embed_dim
-        for i, (ct_ch, rl_ch) in enumerate(cfg.decoder_schedule):
-            stage = UpsampleStage(rng, in_ch, ct_ch, rl_ch if cfg.variant == "C" else None)
-            self.stages.append(self.add_module(f"decoder.stages.{i}", stage))
-            in_ch = stage.out_channels + skip_ch
-        self.skip_projs: list[Optional[SkipProjection]] = []
-        if cfg.variant == "B":
-            n_skips = len(cfg.decoder_schedule)  # into stages 1..n-1 plus the head
-            for i in range(n_skips):
-                proj = None
+        for i, (ct_ch, rl_ch) in enumerate(schedule):
+            self.stages.append(self.add_module(f"{prefix}.{i}", UpsampleStage(rng, in_ch, ct_ch, rl_ch)))
+            in_ch = self.stages[-1].out_channels + skip_ch[i]
+        if cfg.variant == "B":  # the patch grid after every stage; its convs draw after the stages'
+            for i in range(n):
+                conv = None
                 if cfg.skip_projection_channels is not None:
-                    proj = self.add_module(
-                        f"decoder.skips.{i}",
-                        SkipProjection(rng, cfg.embed_dim, cfg.skip_projection_channels),
-                    )
-                self.skip_projs.append(proj)
-        head_in = in_ch if cfg.variant == "B" else self.stages[-1].out_channels
-        self.head = self.add_module("head", OutputHead(rng, head_in, cfg.out_channels, cfg.task == "regression"))
-
-    def _build_baseline(self, rng):
-        cfg = self.config
-        downs = log2(cfg.image_size / 4)
-        if downs != int(downs) or downs < 1:
-            raise ConfigError(f"baseline models need an image size of 4 * 2^k, got {cfg.image_size}")
-        downs = int(downs)
-        ladder = [min(64 * 2 ** i, 512) for i in range(downs)]
-        self.enc_layers: list[tuple[Conv2d, BatchNorm]] = []
-        in_ch = cfg.in_channels
-        for i, ch in enumerate(ladder):
-            conv = self.add_module(f"enc.{i}.conv", Conv2d(rng, in_ch, ch, 3, stride=2))
-            bn = self.add_module(f"enc.{i}.bn", BatchNorm(ch))
-            self.enc_layers.append((conv, bn))
-            in_ch = ch
-        self.bottleneck_conv = self.add_module("bottleneck.conv", Conv2d(rng, in_ch, in_ch, 3))
-        self.bottleneck_bn = self.add_module("bottleneck.bn", BatchNorm(in_ch))
-        self.use_skips = cfg.variant == "unet"
-        self.dec_layers: list[UpsampleStage] = []
-        cur = in_ch
-        for i in range(downs):
-            out_ch = ladder[downs - 1 - i] // 2
-            self.dec_layers.append(self.add_module(f"dec.{i}", UpsampleStage(rng, cur, out_ch, None)))
-            cur = out_ch
-            if self.use_skips and i < downs - 1:
-                cur += ladder[downs - 2 - i]
-        self.head = self.add_module("head", OutputHead(rng, cur, cfg.out_channels, cfg.task == "regression"))
-
-    # -- forward ------------------------------------------------------------
+                    conv = self.add_module(f"decoder.skips.{i}.conv",
+                                           Conv2d(rng, cfg.embed_dim, cfg.skip_projection_channels, 1))
+                self.skips[i] = (0, conv)
+        self.head = self.add_module("head", OutputHead(rng, in_ch, cfg.out_channels, cfg.task == "regression"))
 
     def forward(self, images, mode: str = "eval") -> Tensor:
         """Run the model; output spatial size equals input spatial size."""
@@ -207,44 +186,26 @@ class Generator(Module):
                 f"forward: input {h}x{w}x{c} does not match configured "
                 f"{cfg.image_size}x{cfg.image_size}x{cfg.in_channels}"
             )
-        if cfg.variant in ("A", "B", "C"):
-            return self._forward_vit(images, mode)
-        return self._forward_baseline(images, mode)
+        if cfg.variant in _VIT_VARIANTS:
+            encoded = self.patch(extract_patches(images, cfg.patch_size))
+            act = encoded
+            for layer in self.layers:
+                act = layer(act)
+            act = tokens_to_grid(act)
+            sources = [tokens_to_grid(encoded)] if self.skips else []
+        else:
+            act, sources = images, []
+            for conv, bn in self.layers:
+                act = T.leaky_relu(bn(conv(act), mode), LEAKY_SLOPE)
+                sources.append(act)
+        for i, stage in enumerate(self.stages):
+            act = stage(act, mode)
+            if i in self.skips:
+                source, conv = self.skips[i]
+                act = upsample_concat(sources[source], act, conv)
+        return self.head(act)
 
     __call__ = forward
-
-    def _forward_vit(self, images, mode):
-        cfg = self.config
-        encoded = self.patch(extract_patches(images, cfg.patch_size))
-        tokens = encoded
-        for layer in self.layers:
-            tokens = layer(tokens)
-        act = tokens_to_grid(tokens)
-        if cfg.variant == "B":
-            skip_grid = tokens_to_grid(encoded)
-            for i, stage in enumerate(self.stages):
-                if i > 0:
-                    act = upsample_concat(skip_grid, act, self.skip_projs[i - 1])
-                act = stage(act, mode)
-            act = upsample_concat(skip_grid, act, self.skip_projs[-1])
-        else:
-            for stage in self.stages:
-                act = stage(act, mode)
-        return self.head(act)
-
-    def _forward_baseline(self, images, mode):
-        skips = []
-        act = images
-        for conv, bn in self.enc_layers:
-            act = T.leaky_relu(bn(conv(act), mode), LEAKY_SLOPE)
-            skips.append(act)
-        act = T.leaky_relu(self.bottleneck_bn(self.bottleneck_conv(act), mode), LEAKY_SLOPE)
-        n_dec = len(self.dec_layers)
-        for i, stage in enumerate(self.dec_layers):
-            act = stage(act, mode)
-            if self.use_skips and i < n_dec - 1:
-                act = T.concat([act, skips[n_dec - 2 - i]], axis=-1)
-        return self.head(act)
 
     # -- introspection ------------------------------------------------------
 

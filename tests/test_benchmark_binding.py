@@ -24,3 +24,14 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         t.uninstall()
     assert [T.conv2d, models.build_generator, vars(models.Generator)["__call__"]] == originals
+
+
+def test_benchmark_module_groups_name_default_generator_modules(monkeypatch):
+    # A group that no parameter path starts with reads 0 in every traced run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    names = [name for name, _ in models.Generator(models.ModelConfig(), rng=models._NoDraws())
+             .named_parameters()]
+    for group in tracer.MODULE_GROUPS:
+        assert any(name.startswith(group + ".") for name in names), group

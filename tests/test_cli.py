@@ -218,6 +218,12 @@ REJECTED = [
      ["train", "--manifest", "{tmp}/regression.manifest", *TINY_MODEL, "--out-channels", "1"], 2),
     ("eval-regression-manifest-1-channel-checkpoint",
      ["eval", "--checkpoint", "{tmp}/depth.ckpt", "--manifest", "{tmp}/regression.manifest"], 2),
+    ("train-unet-image-size-48", ["train", "--synthetic", "shapes:n=2,size=48", "--variant", "unet"], 2),
+    ("compare-image-size-48", ["compare", "--synthetic", "shapes:n=2,size=48"], 2),
+    ("train-out-channels-2-on-3-classes", ["train", *SHAPES, *TINY_MODEL, "--out-channels", "2"], 2),
+    ("train-out-channels-9-on-3-classes", ["train", *SHAPES, *TINY_MODEL, "--out-channels", "9"], 2),
+    ("eval-3-channel-checkpoint-on-5-classes",
+     ["eval", "--checkpoint", "{ckpt}", "--synthetic", "shapes:n=2,size=16,classes=5"], 2),
 ]
 
 

@@ -3,9 +3,9 @@ import pytest
 
 import vit2img.tensor as T
 from conftest import check_gradients
-from vit2img.decoder import (OutputHead, ResidualBlock, SkipProjection,
-                             UpsampleStage, tokens_to_grid, upsample_concat)
+from vit2img.decoder import OutputHead, ResidualBlock, UpsampleStage, tokens_to_grid, upsample_concat
 from vit2img.errors import ConfigError, DimensionError
+from vit2img.layers import Conv2d
 from vit2img.tensor import Tensor
 
 
@@ -142,7 +142,7 @@ def test_upsample_concat_compositional_oracle(rng):
 
 
 def test_upsample_concat_with_projection(rng):
-    proj = SkipProjection(np.random.default_rng(0), 6, 2)
+    proj = Conv2d(np.random.default_rng(0), 6, 2, 1)
     grid = rng.normal(size=(1, 4, 4, 6))
     prev = rng.normal(size=(1, 8, 8, 3))
     out = upsample_concat(Tensor(grid), Tensor(prev), proj)

@@ -276,13 +276,6 @@ def test_report_table_columns_exact():
     assert "pixel_downsample(grid=4)" in table
 
 
-def test_report_missing_fields_dash():
-    rep = MetricsReport(model="x", ssim=0.5, n_samples=2, extractor="e")
-    table = format_table([rep])
-    row = table.splitlines()[1].split()
-    assert row == ["x", "-", "-", "0.5000"]
-
-
 def test_report_key_values():
     rep = MetricsReport(model="m", fid=1.0, is_score=2.0, ssim=0.25,
                         n_samples=4, extractor="e")

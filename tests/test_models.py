@@ -341,6 +341,39 @@ def test_golden_init_checkpoint_bytes(tmp_path, variant):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# (sum, sum of squares) of a train-mode output, the eval-mode output after
+# it, and all parameter gradients of an MAE loss, from the golden init
+# configs plus B without skip projections.
+GOLDEN_FORWARD = {
+    "A": [(128.52809804253042, 343.90848633485666), (47.102690675285146, 29.06228727630996),
+          (1.9574389779972206, 0.33779896229876666)],
+    "B": [(-357.3907233139938, 1108.591239863595), (-147.22423784899718, 585.1267502045441),
+          (-6.9333809359558405, 1.0106188152405686)],
+    "B-plain": [(17.245761344661965, 304.39008660791137), (14.101447178090542, 209.52255893482456),
+                (0.35619270334919795, 0.3391939210998064)],
+    "C": [(-568.4310735140023, 526.7954963160962), (-211.18935223246416, 78.38763628006366),
+          (-9.701499694898944, 0.8810646132566216)],
+    "autoencoder": [(204.34943220425941, 208.66792393566132), (2.898765112924714, 0.04225018109472818),
+                    (18.93803311471364, 6.154802731719928)],
+    "unet": [(138.22661485377256, 1322.982130016681), (14.857309300983202, 3.1465578688663354),
+             (16.63134202818199, 3.684921465476022)],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_FORWARD))
+def test_golden_forward_and_gradients(variant):
+    config = tiny_config(variant="B") if variant == "B-plain" else GOLDEN_INIT[variant][0]()
+    gen = build_generator(config)
+    x = np.random.default_rng(3).uniform(-1, 1, size=(2, 16, 16, 3))
+    out = gen.forward(x, "train")
+    T.backward(mae_loss(out, np.zeros(out.shape)))
+    grads = np.concatenate([p.grad.ravel() for p in gen.parameters()])
+    with T.no_grad():
+        evaluated = gen.forward(x, "eval").data
+    sums = [(a.sum(), (a * a).sum()) for a in (out.data, evaluated, grads)]
+    np.testing.assert_allclose(sums, GOLDEN_FORWARD[variant], rtol=1e-10)
+
+
 def test_checkpoint_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     import vit2img.models as models
 
