@@ -245,7 +245,8 @@ def build_generator(config: ModelConfig) -> Generator:
 # and buffer payload straight into the model's own float64 array (native
 # order, which is the layout's on a little-endian host) once the payload's
 # declared size fits the bytes the file has left and its name, kind and
-# shape match the model; so a load holds about one file's worth of memory.
+# shape match the model; optimizer payloads are kept only when the state is
+# asked for.  So a load holds about one file's worth of what it returns.
 # A name read twice or not in the model is refused, as is a model array that
 # no record fills.  The CRC folds over the same bytes as they arrive and is
 # checked before anything is returned.  Any other fault is reported only once
@@ -287,23 +288,24 @@ class _RunningCrc:
     def _fold(self, buf) -> None:
         self._crc = zlib.crc32(buf, self._crc)
 
-    def _submit(self, buf) -> None:
+    def _submit(self, buf):
         self._folds.append(self._pool.submit(self._fold, buf))
+        return self._folds[-1]
 
     def _flush(self) -> None:
         if self._small:
             self._submit(self._small)
             self._small = bytearray()
 
-    def update(self, buf) -> None:
+    def update(self, buf):
+        """Fold ``buf`` in; returns the fold that reads ``buf``, or None once it is copied."""
         view = memoryview(buf)
         if view.nbytes >= self.TASK_BYTES:
             self._flush()
-            self._submit(buf)
-        else:
-            self._small += view
-            if len(self._small) >= self.TASK_BYTES:
-                self._flush()
+            return self._submit(buf)
+        self._small += view
+        if len(self._small) >= self.TASK_BYTES:
+            self._flush()
 
     def value(self) -> int:
         self._flush()
@@ -372,6 +374,7 @@ class _Reader:
     def __init__(self, f, size: int, crc: _RunningCrc):
         self.f, self.size, self.crc = f, size, crc
         self.pos = 0
+        self.spare: list = []  # skip's buffers, each with the fold that last read it
 
     def claim(self, n: int) -> None:
         if self.pos + n > self.size:
@@ -381,23 +384,37 @@ class _Reader:
         self.pos += n
 
     def fill(self, buf):
-        """Read ``buf``'s bytes into it; the caller has claimed them."""
+        """Read ``buf``'s bytes into it; the caller has claimed them.
+        Returns what ``crc.update`` does."""
         n = memoryview(buf).nbytes
         if self.f.readinto(buf) != n:
             raise CheckpointFormatError(f"checkpoint truncated: file ends inside {n} bytes")
-        self.crc.update(buf)
-        return buf
+        return self.crc.update(buf)
+
+    def skip(self, n: int) -> None:
+        """Pass ``n`` claimed bytes to the CRC, keeping none: two 1 MiB buffers alternate,
+        one filling while the worker folds the other, each refilled once its fold is done."""
+        while n:
+            buf, fold = self.spare.pop(0) if len(self.spare) == 2 else (memoryview(bytearray(1 << 20)), None)
+            if fold is not None:
+                fold.result()
+            k = min(n, len(buf))
+            self.spare.append((buf, self.fill(buf[:k])))
+            n -= k
 
     def take(self, n: int) -> bytearray:
         self.claim(n)
-        return self.fill(bytearray(n))
+        buf = bytearray(n)
+        self.fill(buf)
+        return buf
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def _parse(r: _Reader, path) -> tuple[Generator, dict[str, np.ndarray]]:
-    """The header's model, every parameter and buffer read into it, and the optimizer records."""
+def _parse(r: _Reader, path, with_state: bool) -> tuple[Generator, dict[str, np.ndarray]]:
+    """The header's model, every parameter and buffer read into it, and, with ``with_state``,
+    the optimizer records (else they only pass through the CRC)."""
     r.take(4)
     (version,) = r.unpack("<I")
     if version != CHECKPOINT_VERSION:
@@ -421,7 +438,11 @@ def _parse(r: _Reader, path) -> tuple[Generator, dict[str, np.ndarray]]:
         shape = r.unpack(f"<{ndim}I")
         r.claim(8 * prod(shape))
         if kind == KIND_OPT:
-            optimizer[name] = r.fill(np.empty(shape))
+            if with_state:
+                optimizer[name] = np.empty(shape)
+                r.fill(optimizer[name])
+            else:
+                r.skip(8 * prod(shape))
             continue
         expected, arr = unread.pop(name, (None, None))
         if kind != expected:
@@ -454,7 +475,7 @@ def load_checkpoint(path, with_state: bool = False):
             (stored_crc,) = struct.unpack("<I", f.read(4))
             f.seek(0)
             try:
-                gen, optimizer = _parse(_Reader(f, size - 4, crc), path)
+                gen, optimizer = _parse(_Reader(f, size - 4, crc), path, with_state)
             except CheckpointError:
                 f.seek(0)  # a second read: a CRC mismatch outranks what the parse found
                 if zlib.crc32(f.read(size - 4)) != stored_crc:

@@ -4,21 +4,23 @@ Every numeric kernel used by the layers above lives here: matmul, softmax,
 normalizations, convolutions (plain and transposed), bilinear resampling,
 activations and concat, each with an analytic backward rule.
 
-Autodiff is tape-based per forward pass.  Each op links its output tensor to
-its inputs, so the executed graph is the chain of parent references hanging
-off the final tensor.  ``backward(loss)`` walks that graph once in reverse
-topological order, keeping adjoints for interior nodes in a per-call table
-and accumulating into ``.grad`` only on ``requires_grad`` leaves.  Calling
+Autodiff is tape-based per forward pass.  Each recorded op gives its output
+a tape node: its backward closure and its inputs' nodes (a requires_grad
+leaf stands for itself).  ``backward(loss)`` walks the nodes under ``loss``
+once in reverse topological order, keeping adjoints in a per-call table
+keyed by node and accumulating into ``.grad`` only on leaves.  Calling
 ``backward`` twice without ``zero_grad`` therefore accumulates leaf grads.
 
-Graph lifetime: the tape lives exactly as long as the last reference to the
-loss (or any other tensor of the graph).  ``backward`` frees nothing, so one
-graph may be walked twice; a training loop drops its loss right after
-``backward`` so that the next step's forward does not run beside the old
-tape.
+Graph lifetime: the nodes live as long as the last reference to the loss
+(or any other tensor of the graph).  No node refers to its output tensor,
+so an interior array dies with its tensor unless a closure reads it.
+``backward`` frees nothing, so one graph may be walked twice; a training
+loop drops its loss right after ``backward`` so that the next step's
+forward does not run beside the old tape.
 
-What the tape keeps is kept small.  Both convolutions keep their input and
-kernel tensors but no patch matrix.  They share three private kernels over one
+What the tape keeps is what backward reads: closures capture arrays and
+shapes, never tensors.  Both convolutions keep their input and kernel
+arrays but no patch matrix.  They share three private kernels over one
 kernel array W.  conv2d runs ``_correlate`` forward, then ``_kernel_grad`` (dW,
 first, so one patch-sized array exists at a time) and ``_correlate_adjoint``
 (dx); conv2d_transpose runs ``_correlate_adjoint`` forward, then ``_correlate``
@@ -27,8 +29,8 @@ padded grid has at most 10% more pixels than the output ((Ho+K-1)*(Wo+K-1) <=
 1.1*Ho*Wo), patches are a flat padded buffer for shifted GEMMs, else im2col.
 ``relu`` and ``leaky_relu`` keep a 1-byte mask of the positive inputs, not
 the 8-byte input.  ``layer_norm`` and both ``batch_norm`` modes share one
-kernel: one node keeping the normalized input and the per-statistic inverse
-deviation, with one closed-form backward.
+kernel: one node keeping the normalized input, the per-statistic inverse
+deviation and gamma, with one closed-form backward.
 
 A recording graph is confined to one thread.  Tensors themselves are
 immutable after construction except for grad accumulation, so finished
@@ -46,7 +48,6 @@ Layout conventions (bit-exact, checkpoints depend on them):
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -57,37 +58,45 @@ from .errors import ContractError, DimensionError
 # so it is only switched on by tests / debugging sessions.
 debug_checks = os.environ.get("VIT2IMG_DEBUG_CHECKS", "") == "1"
 
-# Recording state is per thread: evaluation may run many independent graphs
-# in parallel without their no_grad scopes interfering.
-_state = threading.local()
-
-
-def _grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
+# Whether ops record the tape; one flag, as a recording graph keeps to one thread.
+_grad_enabled = True
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (evaluation, metrics)."""
-    prev = _grad_enabled()
-    _state.grad_enabled = False
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
     try:
         yield
     finally:
-        _state.grad_enabled = prev
+        _grad_enabled = prev
+
+
+class _Node:
+    """A tape entry: a backward closure and one ``_tape_entry`` per input."""
+
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents, backward):
+        self.parents = parents
+        self.backward = backward
 
 
 class Tensor:
-    """A float64 array plus an optional gradient slot and tape linkage."""
+    """A float64 array plus an optional gradient slot and tape node."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node: _Node | None = None
+
+    # perfbench's tracer reads and wraps each op's closure through this.
+    _backward = property(lambda self: self._node and self._node.backward,
+                         lambda self, fn: setattr(self._node, "backward", fn))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -113,18 +122,19 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _tracked(t: Tensor) -> bool:
-    return t.requires_grad or t._parents
+def _tape_entry(t: Tensor):
+    """What a node records for input ``t``: its node, ``t`` if a leaf, or None."""
+    return t._node if t._node is not None else t if t.requires_grad else None
 
 
 def _make(data, parents, backward_fn) -> Tensor:
-    """Wrap an op result, recording the tape edge when grad mode is on."""
+    """Wrap an op result, recording a tape node when grad mode is on."""
     out = Tensor(data)
     if debug_checks and not np.all(np.isfinite(data)):
         raise NumericDebugError("op produced a non-finite value")
-    if _grad_enabled() and any(_tracked(p) for p in parents):
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    entries = tuple(map(_tape_entry, parents)) if _grad_enabled else ()
+    if any(e is not None for e in entries):
+        out._node = _Node(entries, backward_fn)
     return out
 
 
@@ -135,42 +145,43 @@ class NumericDebugError(AssertionError):
 def backward(loss: Tensor) -> None:
     """Populate ``.grad`` on every requires_grad leaf reachable from ``loss``.
 
-    ``loss`` must be a scalar (size-1) tensor.  Interior adjoints live in a
-    per-call table; repeat calls accumulate onto leaf ``.grad`` slots.
+    ``loss`` must be a scalar (size-1) tensor.  Adjoints live in a per-call
+    table keyed by node; repeat calls accumulate onto leaf ``.grad`` slots.
     """
     if loss.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
 
-    # Iterative reverse topological order over the recorded graph.
-    order: list[Tensor] = []
+    # Iterative reverse topological order over nodes and leaves.
+    root = _tape_entry(loss)
+    order: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list = [(root, False)] if root is not None else []
     while stack:
-        node, expanded = stack.pop()
+        item, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(item)
             continue
-        if id(node) in visited:
+        if id(item) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited and _tracked(p):
-                stack.append((p, False))
+        visited.add(id(item))
+        stack.append((item, True))
+        if type(item) is _Node:
+            for p in item.parents:
+                if p is not None and id(p) not in visited:
+                    stack.append((p, False))
 
-    adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = adjoint.pop(id(node), None)
+    adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    for item in reversed(order):
+        g = adjoint.pop(id(item), None)
         if g is None:
             continue
-        if node.requires_grad:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
-        if node._backward is None:
+        if type(item) is not _Node:  # a leaf
+            if item.grad is None:
+                item.grad = np.zeros_like(item.data)
+            item.grad += g
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not _tracked(parent):
+        for parent, pg in zip(item.parents, item.backward(g)):
+            if pg is None or parent is None:
                 continue
             acc = adjoint.get(id(parent))
             # Never accumulate in place: a backward rule may hand the same
@@ -197,44 +208,29 @@ def _sum_to_shape(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
-
-    def grad(g):
-        return _sum_to_shape(g, a.shape), _sum_to_shape(g, b.shape)
-
-    return _make(out, (a, b), grad)
+    sa, sb = a.shape, b.shape
+    return _make(a.data + b.data, (a, b), lambda g: (_sum_to_shape(g, sa), _sum_to_shape(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def grad(g):
-        return _sum_to_shape(g, a.shape), _sum_to_shape(-g, b.shape)
-
-    return _make(out, (a, b), grad)
+    sa, sb = a.shape, b.shape
+    return _make(a.data - b.data, (a, b), lambda g: (_sum_to_shape(g, sa), _sum_to_shape(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
-
-    def grad(g):
-        return (_sum_to_shape(g * b.data, a.shape),
-                _sum_to_shape(g * a.data, b.shape))
-
-    return _make(out, (a, b), grad)
+    ad, bd = a.data, b.data
+    return _make(ad * bd, (a, b),
+                 lambda g: (_sum_to_shape(g * bd, ad.shape), _sum_to_shape(g * ad, bd.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
-
-    def grad(g):
-        return (_sum_to_shape(g / b.data, a.shape),
-                _sum_to_shape(-g * out / b.data, b.shape))
-
-    return _make(out, (a, b), grad)
+    sa, bd = a.shape, b.data
+    out = a.data / bd
+    return _make(out, (a, b),
+                 lambda g: (_sum_to_shape(g / bd, sa), _sum_to_shape(-g * out / bd, bd.shape)))
 
 
 def neg(a) -> Tensor:
@@ -245,12 +241,8 @@ def neg(a) -> Tensor:
 def power(a, exponent: float) -> Tensor:
     """Elementwise a**exponent for a constant scalar exponent."""
     a = as_tensor(a)
-    out = a.data ** exponent
-
-    def grad(g):
-        return (g * exponent * a.data ** (exponent - 1.0),)
-
-    return _make(out, (a,), grad)
+    ad = a.data
+    return _make(ad ** exponent, (a,), lambda g: (g * exponent * ad ** (exponent - 1.0),))
 
 
 def exp(a) -> Tensor:
@@ -261,7 +253,8 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+    ad = a.data
+    return _make(np.log(ad), (a,), lambda g: (g / ad,))
 
 
 def sqrt(a) -> Tensor:
@@ -273,7 +266,8 @@ def sqrt(a) -> Tensor:
 def absolute(a) -> Tensor:
     """Elementwise |a|; subgradient 0 at exact ties."""
     a = as_tensor(a)
-    return _make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+    ad = a.data
+    return _make(np.abs(ad), (a,), lambda g: (g * np.sign(ad),))
 
 
 def tanh(a) -> Tensor:
@@ -302,8 +296,8 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    shape = tuple(shape)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    before = a.shape
+    return _make(a.data.reshape(tuple(shape)), (a,), lambda g: (g.reshape(before),))
 
 
 def transpose(a, axes) -> Tensor:
@@ -349,15 +343,17 @@ def _unreduce(g: np.ndarray, shape, axis, keepdims: bool) -> np.ndarray:
 
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
+    shape = a.shape
     out = a.data.sum(axis=axis, keepdims=keepdims)
-    return _make(out, (a,), lambda g: (_unreduce(g, a.shape, axis, keepdims).copy(),))
+    return _make(out, (a,), lambda g: (_unreduce(g, shape, axis, keepdims).copy(),))
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
+    shape = a.shape
     out = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.size // max(out.size, 1)  # elements per mean
-    return _make(out, (a,), lambda g: (_unreduce(g / count, a.shape, axis, keepdims).copy(),))
+    return _make(out, (a,), lambda g: (_unreduce(g / count, shape, axis, keepdims).copy(),))
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +367,13 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(
             f"matmul: inner dimensions disagree: {a.shape} x {b.shape}"
         )
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
 
     def grad(g):
-        bt = np.swapaxes(b.data, -1, -2)
-        at = np.swapaxes(a.data, -1, -2)
-        return (_sum_to_shape(g @ bt, a.shape), _sum_to_shape(at @ g, b.shape))
+        return (_sum_to_shape(g @ np.swapaxes(bd, -1, -2), ad.shape),
+                _sum_to_shape(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
-    return _make(out, (a, b), grad)
+    return _make(ad @ bd, (a, b), grad)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -404,7 +399,7 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     out = np.log(s) + m
     soft = e / s
     return _make(out if keepdims else np.squeeze(out, axis=axis), (a,),
-                 lambda g: (_unreduce(g, a.shape, axis, keepdims) * soft,))
+                 lambda g: (_unreduce(g, soft.shape, axis, keepdims) * soft,))
 
 
 def _affine_args(op: str, x, gamma, beta) -> tuple[Tensor, Tensor, Tensor]:
@@ -427,7 +422,8 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, centered: np.ndarray,
     """
     inv = (var + eps) ** -0.5
     xhat = np.multiply(centered, inv, out=centered)
-    out = xhat * gamma.data + beta.data
+    gd = gamma.data
+    out = xhat * gd + beta.data
     lead = tuple(range(xhat.ndim - 1))  # the axes gamma and beta are broadcast over
 
     def grad(g):
@@ -437,9 +433,9 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, centered: np.ndarray,
             # gamma is constant over the statistic axes, so the two means are
             # gamma * dbeta / M and gamma * dgamma / M; scale by gamma last.
             count = xhat.size // xhat.shape[-1]
-            d, m1, m2, scale = g, dbeta / count, dgamma / count, gamma.data * inv
+            d, m1, m2, scale = g, dbeta / count, dgamma / count, gd * inv
         else:
-            d, m1, m2, scale = g * gamma.data, 0.0, 0.0, inv
+            d, m1, m2, scale = g * gd, 0.0, 0.0, inv
             if axes is not None:
                 m1, m2 = d.mean(axis=axes, keepdims=True), (d * xhat).mean(axis=axes, keepdims=True)
         dx = xhat * m2
@@ -635,12 +631,13 @@ def conv2d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
     _, h, wd, _ = x.shape
     k = w.shape[0]
     ho, wo, *pads = _conv_geometry(h, wd, k, stride, padding)
+    xd, kd = x.data, w.data
 
     def grad(g):
-        dw = _kernel_grad(_patches(x.data, k, stride, pads, ho, wo), g, k)
-        return _correlate_adjoint(g, w.data, stride, pads, h, wd), dw
+        dw = _kernel_grad(_patches(xd, k, stride, pads, ho, wo), g, k)
+        return _correlate_adjoint(g, kd, stride, pads, h, wd), dw
 
-    out = _correlate(_patches(x.data, k, stride, pads, ho, wo), w.data, ho, wo)
+    out = _correlate(_patches(xd, k, stride, pads, ho, wo), kd, ho, wo)
     return _conv_node(out, x, w, b, grad)
 
 
@@ -655,12 +652,13 @@ def conv2d_transpose(x, w, b=None, stride: int = 2) -> Tensor:
     _, h, wd, _ = x.shape
     # The pads of that conv2d, which maps this op's output back to x's shape.
     _, _, *pads = _conv_geometry(h * stride, wd * stride, k, stride, "same")
+    xd, kd = x.data, w.data
 
     def grad(g):
         p = _patches(g, k, stride, pads, h, wd)
-        return _correlate(p, w.data, h, wd), _kernel_grad(p, x.data, k)
+        return _correlate(p, kd, h, wd), _kernel_grad(p, xd, k)
 
-    out = _correlate_adjoint(x.data, w.data, stride, pads, h * stride, wd * stride)
+    out = _correlate_adjoint(xd, kd, stride, pads, h * stride, wd * stride)
     return _conv_node(out, x, w, b, grad)
 
 

@@ -51,6 +51,35 @@ def check_gradients(op, arrays, rtol=1e-4, h=1e-5, seed=0):
         np.testing.assert_allclose(t.grad, exp_g, rtol=rtol, atol=rtol * scale)
 
 
+def closure_values(fn, seen=None):
+    """Every value a backward closure's cells hold, nested closures followed,
+    without walking the graph."""
+    seen = set() if seen is None else seen
+    for cell in getattr(fn, "__closure__", None) or ():
+        try:
+            value = cell.cell_contents
+        except ValueError:
+            continue
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        yield value
+        if callable(value):
+            yield from closure_values(value, seen)
+
+
+def closure_arrays(fn):
+    """Every ndarray a backward closure can reach: its cells, the data and
+    grad of tensors in them, and nested closures."""
+    found = []
+    for value in closure_values(fn):
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, Tensor):
+            found += [a for a in (value.data, value.grad) if a is not None]
+    return found
+
+
 def record_heads(blob) -> list[tuple[str, int, int]]:
     """(name, offset of the record's head, offset of its payload) per
     checkpoint record, walked from the header's length field."""

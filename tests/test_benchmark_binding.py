@@ -5,6 +5,8 @@ binds still exists and that it restores them all."""
 
 from pathlib import Path
 
+import numpy as np
+
 import vit2img.models as models
 import vit2img.tensor as T
 
@@ -35,3 +37,23 @@ def test_benchmark_module_groups_name_default_generator_modules(monkeypatch):
              .named_parameters()]
     for group in tracer.MODULE_GROUPS:
         assert any(name.startswith(group + ".") for name in names), group
+
+
+def test_benchmark_tracer_times_each_backward_closure(monkeypatch):
+    # The tracer swaps each recorded op's closure through ``Tensor._backward``;
+    # if backward stopped calling the swapped closure, every traced bwd_ms
+    # would read 0.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    t = tracer.Tracer()
+    try:
+        t.install()
+        x = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        out = T.mul(x, 2.0)
+        assert type(out._backward) is tracer._TimedBackward
+        T.backward(T.sum_(out))
+    finally:
+        t.uninstall()
+    assert [s[0] for s in t.spans if s[0].endswith(".bwd")] == ["tensor.sum_.bwd", "tensor.mul.bwd"]
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))

@@ -476,6 +476,34 @@ def test_load_holds_about_one_file(tmp_path):
     assert peak <= 1.05 * size
 
 
+def test_load_without_state_keeps_no_optimizer_record(tmp_path):
+    # A file written with Adam state holds twice the model again in moments
+    # (here the parameters themselves); a load that does not return them
+    # passes them through the CRC and costs what a stateless file's load does.
+    gen = build_generator(ModelConfig(seed=0))
+    moments = {name: (p.data, p.data) for name, p in gen.named_parameters()}
+    paths, peaks = [tmp_path / "plain.ckpt", tmp_path / "state.ckpt"], []
+    for path, state in zip(paths, (None, {"t": 3, "moments": moments})):
+        save_checkpoint(gen, path, optimizer_state=state)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(loaded.parameters(), gen.parameters()))
+        del loaded
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+    plain, full = (p.stat().st_size for p in paths)
+    with open(paths[1], "r+b") as f:  # a flip in the middle of the moments
+        f.seek(plain - 4 + (full - plain) // 2)
+        byte = f.read(1)[0]
+        f.seek(-1, 1)
+        f.write(bytes([byte ^ 0xFF]))
+    with pytest.raises(CheckpointFormatError, match="CRC"):
+        load_checkpoint(paths[1])
+
+
 @pytest.mark.parametrize("dims", [(2 ** 32 - 1, 2 ** 32 - 1), (2 ** 20, 2 ** 20)])
 def test_record_larger_than_file_is_a_format_error(tmp_path, dims):
     path = tmp_path / "model.ckpt"

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vit2img.tensor as T
-from conftest import check_gradients
+from conftest import check_gradients, closure_arrays
 from vit2img.errors import ContractError, DimensionError
 from vit2img.tensor import Tensor
 
@@ -315,9 +315,9 @@ def test_batch_norm_train_matches_composite(rng, shape):
 ], ids=["layer_norm", "batch_norm_train", "batch_norm_eval"])
 def test_normalization_is_one_tape_node(rng, norm):
     x = Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True)
-    gamma, beta = Tensor(np.ones(4)), Tensor(np.zeros(4))
+    gamma, beta = Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)
     out = norm(x, gamma, beta)
-    assert out._parents == (x, gamma, beta)
+    assert out._node.parents == (x, gamma, beta)
 
 
 # --- conv2d ---------------------------------------------------------------------
@@ -591,28 +591,6 @@ def test_matmul_backward_is_its_adjoint_in_each_argument(m, inner, p, batch, see
     assert_adjoint(lhs, in_b, scale)  # and in b for a fixed a
 
 
-def closure_arrays(fn, seen=None):
-    """Every ndarray a backward closure can reach: its cells, the data and
-    grad of tensors in them, and nested closures, without walking the graph."""
-    seen = set() if seen is None else seen
-    found = []
-    for cell in getattr(fn, "__closure__", None) or ():
-        try:
-            value = cell.cell_contents
-        except ValueError:
-            continue
-        if id(value) in seen:
-            continue
-        seen.add(id(value))
-        if isinstance(value, np.ndarray):
-            found.append(value)
-        elif isinstance(value, Tensor):
-            found += [a for a in (value.data, value.grad) if a is not None]
-        elif callable(value):
-            found += closure_arrays(value, seen)
-    return found
-
-
 @pytest.mark.parametrize("op,stride,padding,shape", [
     (T.conv2d, 1, "same", (2, 9, 9, 4)), (T.conv2d, 2, "same", (2, 9, 9, 4)),
     (T.conv2d, 1, "valid", (2, 9, 9, 4)), (T.conv2d, 1, "same", (1, 48, 48, 4)),
@@ -824,7 +802,7 @@ def test_no_grad_blocks_recording():
     x = Tensor(np.ones(3), requires_grad=True)
     with T.no_grad():
         y = T.mul(x, 2.0)
-    assert y._parents == ()
+    assert y._node is None
 
 
 def test_forward_determinism(rng):

@@ -1,11 +1,13 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import vit2img.tensor as T
 import vit2img.training as training
-from vit2img.data import synth_segmentation_dataset
+from conftest import closure_arrays, closure_values
+from vit2img.data import synth_depth_dataset, synth_segmentation_dataset
 from vit2img.errors import ContractError, DataError, DimensionError, NumericError
 from vit2img.layers import BATCH_NORM_MOMENTUM, BatchNorm
 from vit2img.models import ModelConfig, build_generator
@@ -251,22 +253,68 @@ def test_train_empty_dataset():
         train(tiny_model(), [], epochs=1, batch_size=2, loss_kind="scc", seed=0)
 
 
+def tape_objects():
+    """Every live tape node, and every Tensor that links to one."""
+    return [o for o in gc.get_objects()
+            if isinstance(o, T._Node) or isinstance(o, Tensor) and o._node is not None]
+
+
 def test_train_drops_each_graph_before_the_next_step():
     # Graphs that some other test left alive are not this loop's; holding
     # them in `before` keeps their ids from being reused.
     gc.collect()
-    before = [o for o in gc.get_objects() if isinstance(o, Tensor) and o._parents]
+    before = tape_objects()
     known = {id(o) for o in before}
-    live_graphs = []
+    live = []
 
     def hook(rec):
         gc.collect()
-        live_graphs.append(sum(1 for o in gc.get_objects()
-                               if isinstance(o, Tensor) and o._parents and id(o) not in known))
+        new = [o for o in tape_objects() if id(o) not in known]
+        live.append((sum(isinstance(o, Tensor) for o in new), sum(isinstance(o, T._Node) for o in new)))
 
     train(tiny_model(), tiny_dataset(4), epochs=1, batch_size=2, loss_kind="scc",
           seed=0, record_hook=hook)
-    assert live_graphs == [0, 0]
+    assert live == [(0, 0), (0, 0)]
+
+
+def tape_nodes(loss):
+    """Every node of the tape under ``loss``."""
+    nodes, stack, seen = [], [loss._node], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack += [p for p in node.parents if isinstance(p, T._Node)]
+    return nodes
+
+
+def test_train_forward_keeps_only_what_backward_reads():
+    # A train-mode forward leaves alive the arrays its backward closures read
+    # and, as slack, Python objects of at most 2 KiB per node (the node, its
+    # closure and cells, shapes); nothing that only linked two ops.
+    gen = tiny_model()
+    inputs, targets = training._batch_arrays(tiny_dataset(4), "segmentation")
+    before = {id(a) for a in (inputs, *(p.data for p in gen.parameters()))}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = compute_loss(gen, inputs, targets, "scc", "train")
+        gc.collect()
+        alive = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    nodes = tape_nodes(loss)
+    read = {}
+    for node in nodes:
+        for a in closure_arrays(node.backward):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            if id(a) not in before:
+                read[id(a)] = a.nbytes
+    assert len(nodes) > 50
+    assert alive <= sum(read.values()) + 2048 * len(nodes), (alive, sum(read.values()), len(nodes))
 
 
 @pytest.mark.parametrize("override", [{"epochs": 0}, {"epochs": -1}, {"batch_size": 0},
@@ -385,3 +433,85 @@ def test_refresh_batch_norm_stats_rejects_nonpositive_sizes(batch_size, passes):
     with pytest.raises(ContractError):
         refresh_batch_norm_stats(tiny_model(), tiny_dataset(4), batch_size=batch_size,
                                  passes=passes, seed=0)
+
+
+# --- golden training trajectory ------------------------------------------------------
+
+TINY_VIT = dict(patch_size=4, embed_dim=8, num_heads=2, ffn_width=8, num_transformer_layers=1,
+                decoder_schedule=((12, 12), (6, 6)))
+TRAJECTORY_CONFIGS = {
+    "A": dict(TINY_VIT, variant="A", out_channels=1, task="regression"),
+    "B": dict(TINY_VIT, variant="B", skip_projection_channels=4, out_channels=3,
+              task="segmentation"),
+    "C": dict(TINY_VIT, variant="C", out_channels=3, task="segmentation"),
+    "unet": dict(variant="unet", out_channels=3, task="segmentation"),
+    "autoencoder": dict(variant="autoencoder", out_channels=1, task="regression"),
+}
+# Per variant: the loss of each of 3 steps of train() (batch 2 over 4 samples,
+# so one reshuffle) as float.hex, then (sum, sum of squares) of the parameters,
+# the buffers, and Adam's first and second moments after the last step.
+GOLDEN_TRAJECTORY = {
+    "A": (["0x1.4de98be950962p-1", "0x1.70c35b2187e4bp-1", "0x1.4d4c145f9c472p-1"],
+          [(24.69421130276249, 123.96513836595764), (23.547701200947248, 35.1128543364573),
+           (-3.745518946567591, 1.1766935160288874), (0.004919020187393709, 7.313155732899367e-07)]),
+    "B": (["0x1.2693b1d5f856ap+0", "0x1.36c625de04d50p+0", "0x1.19419e92a2b40p+0"],
+          [(11.745120983538811, 136.5705697766956), (23.54158651275353, 35.10461023226493),
+           (-1.2506761515431464, 5.43940624580423), (0.021885459826820608, 4.558715399003889e-06)]),
+    "C": (["0x1.4f42bdf11c7e0p+0", "0x1.378a698967d62p+0", "0x1.472f9ecf34c9dp+0"],
+          [(57.817564793596375, 198.30886613302724), (70.98229771596708, 105.91992178478806),
+           (4.445659613703204, 4.586711433578436), (0.018524903613280203, 1.5941042460905608e-06)]),
+    "autoencoder": (["0x1.38031d114bd18p-1", "0x1.1ea6d9f219308p-1", "0x1.e16db39ff91d2p-2"],
+                    [(420.3599915045768, 764.4757230596416), (421.35254309976017, 441.7138496984765),
+                     (-19.465042494648575, 4.2042142311457695),
+                     (0.0224098714921124, 6.674176242945943e-07)]),
+    "unet": (["0x1.0b586702c187cp+0", "0x1.fdd19e935749fp-1", "0x1.8491c2b0e6d29p-1"],
+             [(418.3697627787496, 776.5584548998936), (421.60664418676447, 442.11417310770156),
+              (-17.326638577092123, 4.604874338206447), (0.02449972747183446, 9.320984179652978e-08)]),
+}
+
+
+def trajectory_setup(variant):
+    """A tiny ``variant`` at 16 px, 4 samples of its task and its loss kind."""
+    cfg = TRAJECTORY_CONFIGS[variant]
+    gen = build_generator(ModelConfig(image_size=16, seed=7, **cfg).validated())
+    if cfg["task"] == "segmentation":
+        return gen, tiny_dataset(4), "scc"
+    return gen, synth_depth_dataset(4, image_size=16, seed=3), "mae"
+
+
+def trajectory(variant):
+    gen, data, loss_kind = trajectory_setup(variant)
+    state = AdamState()
+    _, records = train(gen, data, epochs=2, batch_size=2, loss_kind=loss_kind, seed=5,
+                       max_steps=3, state=state)
+    groups = [[p.data for p in gen.parameters()], [a for _, a in gen.named_buffers()],
+              [m for m, _ in state.moments.values()], [v for _, v in state.moments.values()]]
+    sums = []
+    for arrays in groups:
+        flat = np.concatenate([a.ravel() for a in arrays])
+        sums.append((float(flat.sum()), float((flat * flat).sum())))
+    return [r.loss.hex() for r in records], sums
+
+
+@pytest.mark.parametrize("variant", sorted(TRAJECTORY_CONFIGS))
+def test_golden_training_trajectory(variant):
+    # Pins a multi-step run against recorded values: a change to Adam's order
+    # of operations, the batch-norm EMA, the shuffle or the tape that is the
+    # same on every run still moves these.
+    losses, sums = trajectory(variant)
+    want_losses, want_sums = GOLDEN_TRAJECTORY[variant]
+    assert losses == want_losses
+    np.testing.assert_allclose(sums, want_sums, rtol=1e-10)
+
+
+@pytest.mark.parametrize("variant", sorted(TRAJECTORY_CONFIGS))
+def test_backward_closures_capture_no_tensor(variant):
+    # A closure holding a Tensor would keep that Tensor's array alive for the
+    # whole tape, read or not.
+    gen, data, loss_kind = trajectory_setup(variant)
+    inputs, targets = training._batch_arrays(data[:2], gen.config.task)
+    nodes = tape_nodes(compute_loss(gen, inputs, targets, loss_kind, "train"))
+    assert len(nodes) > 10
+    for node in nodes:
+        held = [v for v in closure_values(node.backward) if isinstance(v, Tensor)]
+        assert not held, (node.backward, held)
