@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -25,7 +25,7 @@ from .data import (PALETTE, PairedSample, load_image, load_manifest_dataset,
 from .errors import ConfigError, DataError, NumericError, Vit2ImgError
 from .metrics import (MetricsReport, TinyClassifier, fid, format_table,
                       inception_score, make_extractor, ssim)
-from .models import (_VIT_VARIANTS, TASKS, VARIANTS, Generator, ModelConfig,
+from .models import (_VIT_VARIANTS, TASKS, VARIANTS, VIT_FIELDS, Generator, ModelConfig,
                      build_generator, load_checkpoint)
 from .training import check_budget, loss_kind_for_task, train, write_train_log
 
@@ -205,17 +205,21 @@ def resolve_dataset(cfg: RunConfig, size: int) -> tuple[list[PairedSample], str,
     return samples, task, channels, image_size
 
 
+def check_fit(mc: ModelConfig, task: str, channels: int, image_size: int) -> None:
+    """Refuse a model whose task, image size or out_channels (the class count, or the
+    target channels) is not the dataset's."""
+    for key, want in (("task", task), ("image_size", image_size), ("out_channels", channels)):
+        if getattr(mc, key) != want:
+            raise ConfigError(f"model {key} {getattr(mc, key)!r} does not match the dataset's {want!r}")
+
+
 def model_config_from(cfg: RunConfig, task: str, channels: int, image_size: int) -> ModelConfig:
     """The configured model; task, image size and out_channels default to the dataset's."""
     implied = {"task": task, "image_size": image_size, "out_channels": channels}
     mc = ModelConfig(**{f.name: cfg.get(f.name, implied.get(f.name, f.default))
                         for f in fields(ModelConfig)})
-    if mc.image_size != image_size:
-        raise ConfigError(f"model image_size {mc.image_size} does not match the dataset's {image_size}")
-    if mc.out_channels != channels:
-        raise ConfigError(f"model out_channels {mc.out_channels} does not match the dataset's "
-                          f"{channels} classes or target channels")
-    return mc.validated()
+    check_fit(mc, task, channels, image_size)
+    return mc
 
 
 def model_outputs(gen: Generator, samples: list[PairedSample]) -> list[np.ndarray]:
@@ -323,15 +327,8 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     out_dir = _run_directory(cfg)
     gen = load_checkpoint(cfg.require("checkpoint"))
-    samples, task, channels, image_size = resolve_dataset(cfg, gen.config.image_size)
-    if task != gen.config.task:
-        raise ConfigError(f"dataset task {task!r} does not match checkpoint task {gen.config.task!r}")
-    if image_size != gen.config.image_size:
-        raise ConfigError(f"dataset image size {image_size} does not match checkpoint "
-                          f"image_size {gen.config.image_size}")
-    if channels != gen.config.out_channels:
-        raise ConfigError(f"dataset has {channels} classes or target channels, checkpoint "
-                          f"out_channels {gen.config.out_channels}")
+    samples, *dataset = resolve_dataset(cfg, gen.config.image_size)
+    check_fit(gen.config, *dataset)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.echo(out_dir / "config.txt")
     variant = gen.config.variant
@@ -364,8 +361,10 @@ def cmd_infer(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     out_dir, samples, mc, budget = training_run(cfg)
-    configs = {name: replace(mc, variant=variant).validated() for variant, name in
-               (("autoencoder", "autoencoder"), ("unet", "unet"), ("C", "vit-c"))}
+    # The baselines take only the fields they read from C's config.
+    shared = {f.name: getattr(mc, f.name) for f in fields(mc) if f.name not in VIT_FIELDS}
+    configs = {name: ModelConfig(**{**shared, "variant": name}) for name in ("autoencoder", "unet")}
+    configs["vit-c"] = mc
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.echo(out_dir / "config.txt")
 

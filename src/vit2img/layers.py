@@ -141,7 +141,7 @@ class Conv2d(Module):
         self.bias = self.register_parameter("bias", Tensor(np.zeros(out_ch)))
 
     def __call__(self, x):
-        return T.conv2d(x, self.kernel, self.bias, self.stride, "same")
+        return T.conv2d(x, self.kernel, self.bias, self.stride)
 
 
 class ConvTranspose2d(Module):

@@ -24,7 +24,7 @@ import os
 import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import log2, prod
 from typing import Optional
 
@@ -53,9 +53,17 @@ DESIGN_CONSTANTS = {
 }
 
 
-@dataclass
+# The fields only A/B/C read; a baseline must leave each at its default.
+VIT_FIELDS = ("patch_size", "embed_dim", "num_heads", "ffn_width", "num_transformer_layers", "decoder_schedule")
+# Twice ViT-Huge's 32.  A layer adds a dozen arrays but may draw only 6 elements, so a
+# load's file-size budget alone would let a small file's header build many layers.
+MAX_TRANSFORMER_LAYERS = 64
+
+
+@dataclass(frozen=True)
 class ModelConfig:
-    """Everything needed to rebuild a generator bit-for-bit."""
+    """Everything needed to rebuild a generator bit-for-bit, checked as it is made (and as
+    it is ``dataclasses.replace``d); A/B/C default to their patch size's decoder schedule."""
 
     variant: str = "C"
     image_size: int = 64
@@ -71,18 +79,17 @@ class ModelConfig:
     skip_projection_channels: Optional[int] = None  # variant B: 1x1-conv skips to this width
     seed: int = 0
 
-    def validated(self) -> "ModelConfig":
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.task not in TASKS:
-            raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
+    def __post_init__(self) -> None:
+        for key, known in (("variant", VARIANTS), ("task", TASKS)):
+            if getattr(self, key) not in known:
+                raise ConfigError(f"unknown {key} {getattr(self, key)!r}; expected one of {known}")
         schedule = self.decoder_schedule
         if schedule is not None:
             if not isinstance(schedule, (list, tuple)) \
                     or not all(isinstance(s, (list, tuple)) and len(s) == 2 for s in schedule):
                 raise ConfigError(f"decoder_schedule must be (transpose, residual) channel pairs, "
                                   f"got {schedule!r}")
-            self.decoder_schedule = tuple(tuple(s) for s in schedule)
+            object.__setattr__(self, "decoder_schedule", tuple(tuple(s) for s in schedule))
         # The least value of each integer field; None leaves an optional one unset.
         least = {"image_size": 1, "patch_size": 1, "embed_dim": 1, "num_heads": 1, "ffn_width": 1,
                  "num_transformer_layers": 0, "out_channels": 1, "in_channels": 1,
@@ -94,33 +101,34 @@ class ModelConfig:
             if (type(value) is not int or value < low) \
                     and not (name == "skip_projection_channels" and value is None):
                 raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
+        if self.num_transformer_layers > MAX_TRANSFORMER_LAYERS:
+            raise ConfigError(f"num_transformer_layers must be at most {MAX_TRANSFORMER_LAYERS}, "
+                              f"got {self.num_transformer_layers}")
         if self.variant in _VIT_VARIANTS:
             if self.image_size % self.patch_size != 0:
-                raise ConfigError(
-                    f"image size {self.image_size} is not divisible by patch size {self.patch_size}"
-                )
+                raise ConfigError(f"image size {self.image_size} is not divisible by "
+                                  f"patch size {self.patch_size}")
             if self.embed_dim % self.num_heads != 0:
-                raise ConfigError(
-                    f"embed_dim {self.embed_dim} is not divisible by num_heads {self.num_heads}"
-                )
+                raise ConfigError(f"embed_dim {self.embed_dim} is not divisible by "
+                                  f"num_heads {self.num_heads}")
             stages = log2(self.patch_size)
             if self.decoder_schedule is None:
                 if stages != int(stages) or not (1 <= stages <= len(DEFAULT_SCHEDULE)):
-                    raise ConfigError(
-                        f"no default decoder schedule for patch size {self.patch_size}; pass one explicitly"
-                    )
-                self.decoder_schedule = DEFAULT_SCHEDULE[-int(stages):]
+                    raise ConfigError(f"no default decoder schedule for patch size "
+                                      f"{self.patch_size}; pass one explicitly")
+                object.__setattr__(self, "decoder_schedule", DEFAULT_SCHEDULE[-int(stages):])
             elif 2 ** len(self.decoder_schedule) != self.patch_size:
-                raise ConfigError(
-                    f"decoder schedule of {len(self.decoder_schedule)} stages upsamples "
-                    f"{2 ** len(self.decoder_schedule)}x but patch size {self.patch_size} requires "
-                    f"patch_size-fold upsampling to restore the image size"
-                )
+                raise ConfigError(f"decoder schedule of {len(self.decoder_schedule)} stages upsamples "
+                                  f"{2 ** len(self.decoder_schedule)}x but patch size {self.patch_size} "
+                                  f"requires patch_size-fold upsampling to restore the image size")
         elif self.image_size < 8 or log2(self.image_size) % 1:
             raise ConfigError(f"baseline models need an image size of 4 * 2^k, got {self.image_size}")
+        elif vit_set := [f.name for f in fields(self)
+                         if f.name in VIT_FIELDS and getattr(self, f.name) != f.default]:
+            raise ConfigError(f"variant {self.variant} reads no ViT setting, but {', '.join(vit_set)} "
+                              f"differ from the defaults")
         if self.skip_projection_channels is not None and self.variant != "B":
             raise ConfigError("skip_projection_channels applies to variant B only")
-        return self
 
 
 class Generator(Module):
@@ -132,7 +140,7 @@ class Generator(Module):
 
     def __init__(self, config: ModelConfig, rng=None):
         super().__init__()
-        cfg = self.config = config.validated()
+        cfg = self.config = config
         rng = np.random.default_rng(cfg.seed) if rng is None else rng
         # Stage i's skip: (index into the encoder's skip sources, optional 1x1 conv).
         self.skips: dict[int, tuple[int, Optional[Conv2d]]] = {}
@@ -216,15 +224,23 @@ class Generator(Module):
 
 class _NoDraws:
     """An initial-value source that draws nothing: each array it gives is
-    unfilled, for ``load_checkpoint`` to replace with the file's."""
+    unfilled, for ``load_checkpoint`` to replace with the file's.  A drawn
+    element needs 8 of the ``budget`` bytes the file has left, so a draw
+    past them is refused before anything is allocated."""
+
+    def __init__(self, budget: float = float("inf")):
+        self.budget = budget
 
     def uniform(self, low, high, size):
+        self.budget -= 8 * prod(size)
+        if self.budget < 0:
+            raise ValueError("the model needs more bytes than the file has left")
         return np.empty(size)
     normal = uniform  # (loc, scale, size)
 
 
 def build_generator(config: ModelConfig) -> Generator:
-    """Build any variant (A, B, C) or baseline from a validated config."""
+    """Build any variant (A, B, C) or baseline from its config."""
     return Generator(config)
 
 
@@ -250,8 +266,9 @@ def build_generator(config: ModelConfig) -> Generator:
 # A name read twice or not in the model is refused, as is a model array that
 # no record fills.  The CRC folds over the same bytes as they arrive and is
 # checked before anything is returned.  Any other fault is reported only once
-# the whole-file CRC has matched; on that path the CRC is taken by a second
-# read.  Parameter and buffer values must be finite.
+# the rest of the file has passed through the CRC and it has matched.  A header
+# whose model needs more bytes than the file has left is refused as it is built.
+# Parameter and buffer values must be finite.
 
 CHECKPOINT_MAGIC = b"V2IG"
 CHECKPOINT_VERSION = 1
@@ -422,10 +439,10 @@ def _parse(r: _Reader, path, with_state: bool) -> tuple[Generator, dict[str, np.
             f"{path}: format version {version} unsupported (expected {CHECKPOINT_VERSION})"
         )
     try:
-        fields = json.loads(str(r.take(r.unpack("<I")[0]), "utf-8"))["config"]
-        gen = Generator(ModelConfig(**fields), rng=_NoDraws())  # TypeError unless fields is an object
+        config = json.loads(str(r.take(r.unpack("<I")[0]), "utf-8"))["config"]
+        gen = Generator(ModelConfig(**config), rng=_NoDraws(r.size - r.pos))  # TypeError unless config is an object
     except (ValueError, KeyError, TypeError, MemoryError, OverflowError) as e:
-        # ValueError covers bad UTF-8 or JSON, a ConfigError and a shape too large for numpy
+        # ValueError: bad UTF-8 or JSON, a ConfigError, a model larger than the file or than numpy allows
         raise CheckpointFormatError(f"{path}: malformed header: {type(e).__name__}: {e}") from e
     unread = {name: (kind, arr) for name, kind, arr in _named_arrays(gen)}
     optimizer: dict[str, np.ndarray] = {}
@@ -474,11 +491,12 @@ def load_checkpoint(path, with_state: bool = False):
             f.seek(-4, os.SEEK_END)
             (stored_crc,) = struct.unpack("<I", f.read(4))
             f.seek(0)
+            reader = _Reader(f, size - 4, crc)
             try:
-                gen, optimizer = _parse(_Reader(f, size - 4, crc), path, with_state)
+                gen, optimizer = _parse(reader, path, with_state)
             except CheckpointError:
-                f.seek(0)  # a second read: a CRC mismatch outranks what the parse found
-                if zlib.crc32(f.read(size - 4)) != stored_crc:
+                reader.skip(size - 4 - f.tell())  # a CRC mismatch outranks what the parse found
+                if crc.value() != stored_crc:
                     raise CheckpointFormatError(f"{path}: CRC mismatch, file is corrupt") from None
                 raise
             # Scanned while the worker finishes the CRC, by min and max (which

@@ -479,28 +479,11 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode: str,
 # convolutions
 
 
-def _same_pad(in_size: int, k: int, stride: int) -> tuple[int, int, int]:
-    """Return (out_size, pad_before, pad_after) for 'same' padding."""
-    out = -(-in_size // stride)  # ceil
-    total = max((out - 1) * stride + k - in_size, 0)
-    before = total // 2
-    return out, before, total - before
-
-
-def _conv_geometry(h: int, w: int, k: int, stride: int, padding: str):
-    if padding == "same":
-        ho, pt, pb = _same_pad(h, k, stride)
-        wo, pl, pr = _same_pad(w, k, stride)
-    elif padding == "valid":
-        if k > h or k > w:
-            raise DimensionError(
-                f"conv2d: kernel {k}x{k} larger than input {h}x{w} with valid padding"
-            )
-        ho, wo = (h - k) // stride + 1, (w - k) // stride + 1
-        pt = pb = pl = pr = 0
-    else:
-        raise ContractError(f"padding must be 'same' or 'valid', got {padding!r}")
-    return ho, wo, pt, pb, pl, pr
+def _conv_geometry(h: int, w: int, k: int, stride: int):
+    """(out_h, out_w, pad_top, pad_bottom, pad_left, pad_right) of 'same' padding."""
+    ho, wo = -(-h // stride), -(-w // stride)  # ceil
+    th, tw = max((ho - 1) * stride + k - h, 0), max((wo - 1) * stride + k - w, 0)
+    return ho, wo, th // 2, th - th // 2, tw // 2, tw - tw // 2
 
 
 def _shifted(ho: int, wo: int, k: int, stride: int) -> bool:
@@ -625,12 +608,12 @@ def _conv_node(out: np.ndarray, x: Tensor, w: Tensor, b: Tensor | None, grads) -
     return _make(out, (x, w, b), lambda g: (*grads(g), g.reshape(-1, g.shape[-1]).sum(axis=0)))
 
 
-def conv2d(x, w, b=None, stride: int = 1, padding: str = "same") -> Tensor:
-    """2-D cross-correlation over NHWC input with a [K, K, Cin, Cout] kernel."""
+def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
+    """2-D 'same'-padded cross-correlation over NHWC input with a [K, K, Cin, Cout] kernel."""
     x, w, b = _conv_args("conv2d", x, w, b, 2)
     _, h, wd, _ = x.shape
     k = w.shape[0]
-    ho, wo, *pads = _conv_geometry(h, wd, k, stride, padding)
+    ho, wo, *pads = _conv_geometry(h, wd, k, stride)
     xd, kd = x.data, w.data
 
     def grad(g):
@@ -651,7 +634,7 @@ def conv2d_transpose(x, w, b=None, stride: int = 2) -> Tensor:
         raise DimensionError(f"conv2d_transpose: kernel {k} smaller than stride {stride}")
     _, h, wd, _ = x.shape
     # The pads of that conv2d, which maps this op's output back to x's shape.
-    _, _, *pads = _conv_geometry(h * stride, wd * stride, k, stride, "same")
+    _, _, *pads = _conv_geometry(h * stride, wd * stride, k, stride)
     xd, kd = x.data, w.data
 
     def grad(g):

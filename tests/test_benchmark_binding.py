@@ -57,3 +57,13 @@ def test_benchmark_tracer_times_each_backward_closure(monkeypatch):
         t.uninstall()
     assert [s[0] for s in t.spans if s[0].endswith(".bwd")] == ["tensor.sum_.bwd", "tensor.mul.bwd"]
     np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+def test_benchmark_model_specs_build(monkeypatch):
+    # A config rule that refused one of the benchmark's models would break it
+    # only in its own self-tests, which run apart from this suite.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for spec in [*(train.model for train in workloads.TRAIN_SPECS.values()), workloads.EVAL_MODEL]:
+        models.Generator(models.ModelConfig(**spec), rng=models._NoDraws())

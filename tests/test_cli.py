@@ -1,6 +1,8 @@
 import json
 import re
 import struct
+import time
+import tracemalloc
 import zlib
 from dataclasses import replace
 
@@ -219,6 +221,12 @@ REJECTED = [
     ("eval-regression-manifest-1-channel-checkpoint",
      ["eval", "--checkpoint", "{tmp}/depth.ckpt", "--manifest", "{tmp}/regression.manifest"], 2),
     ("train-unet-image-size-48", ["train", "--synthetic", "shapes:n=2,size=48", "--variant", "unet"], 2),
+    ("train-unet-patch-size-5", ["train", *SHAPES, "--variant", "unet", "--patch-size", "5"], 2),
+    ("train-unet-embed-dim-7", ["train", *SHAPES, "--variant", "unet", "--embed-dim", "7"], 2),
+    ("train-unet-num-heads-3", ["train", *SHAPES, "--variant", "unet", "--num-heads", "3"], 2),
+    ("train-unet-num-layers-2", ["train", *SHAPES, "--variant", "unet", "--num-layers", "2"], 2),
+    ("train-unet-ffn-width-8", ["train", *SHAPES, "--variant", "unet", "--ffn-width", "8"], 2),
+    ("train-autoencoder-patch-size-8", ["train", *SHAPES, "--variant", "autoencoder", "--patch-size", "8"], 2),
     ("compare-image-size-48", ["compare", "--synthetic", "shapes:n=2,size=48"], 2),
     ("train-out-channels-2-on-3-classes", ["train", *SHAPES, *TINY_MODEL, "--out-channels", "2"], 2),
     ("train-out-channels-9-on-3-classes", ["train", *SHAPES, *TINY_MODEL, "--out-channels", "9"], 2),
@@ -668,6 +676,8 @@ MALFORMED = [
     ("header-ffn-width-4e9", config_with(ffn_width=4_000_000_000), CheckpointFormatError),
     ("header-embed-dim-2e6", config_with(embed_dim=2_000_000), CheckpointFormatError),
     ("header-ffn-width-1e400", config_with(ffn_width=10 ** 400), CheckpointFormatError),
+    ("header-layers-1e6", config_with(num_transformer_layers=1_000_000), CheckpointFormatError),
+    ("header-model-larger-than-file", config_with(embed_dim=1024), CheckpointFormatError),
     ("param-nan", record_value("encoder.patch.bias", float("nan")), CheckpointFormatError),
     ("running-var-inf", record_value("decoder.stages.0.bn.running_var", float("inf")),
      CheckpointFormatError),
@@ -701,6 +711,21 @@ def test_malformed_file_typed_error_exit_3(tmp_path, tiny_checkpoint, capsys, ma
         load()
     assert main(argv) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["header-layers-1e6", "header-model-larger-than-file"])
+def test_header_larger_than_its_file_is_refused_before_it_is_built(tmp_path, tiny_checkpoint, case):
+    load, _ = {row[0]: row[1] for row in MALFORMED}[case](tmp_path, tiny_checkpoint)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(CheckpointFormatError, match="malformed header"):
+            load()
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 0.1 and peak < 8 << 20, (seconds, peak)
 
 
 def test_invalid_header_config_names_the_file(tmp_path, tiny_checkpoint):
@@ -753,6 +778,10 @@ def test_compare_end_to_end(tmp_path, capsys):
     assert montage_img.shape[1] == 16 * 5 + 2 * 4
     for name in ("vit-c", "unet", "autoencoder"):
         assert (out / f"{name}.ckpt").exists()
+    for name in ("unet", "autoencoder"):  # a baseline stores none of C's ViT settings
+        config = load_checkpoint(out / f"{name}.ckpt").config
+        assert (config.patch_size, config.embed_dim, config.num_heads, config.ffn_width,
+                config.num_transformer_layers, config.decoder_schedule) == (16, 64, 2, 32, 4, None)
 
 
 def test_numeric_abort_exit_4(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import zlib
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ import vit2img.tensor as T
 from conftest import record_heads
 from vit2img.errors import (CheckpointFormatError, CheckpointMismatchError,
                             CheckpointVersionError, ConfigError, DimensionError)
-from vit2img.models import (ModelConfig, _RunningCrc, build_generator, load_checkpoint,
-                            save_checkpoint)
+from vit2img.models import (KIND_PARAM, ModelConfig, _pack_record, _RunningCrc, build_generator,
+                            load_checkpoint, save_checkpoint)
 from vit2img.training import AdamState, adam_step, mae_loss
 
 
@@ -23,7 +24,7 @@ def tiny_config(**kw):
                 decoder_schedule=((12, 12), (6, 6)), out_channels=2,
                 task="regression", seed=7)
     base.update(kw)
-    return ModelConfig(**base).validated()
+    return ModelConfig(**base)
 
 
 def parameter_count(gen):
@@ -101,23 +102,40 @@ def test_same_seed_same_initial_forward(rng):
 
 def test_invalid_configs_rejected():
     with pytest.raises(ConfigError, match="variant"):
-        ModelConfig(variant="D").validated()
+        ModelConfig(variant="D")
     with pytest.raises(ConfigError, match="divisible"):
-        ModelConfig(image_size=60, patch_size=16).validated()
+        ModelConfig(image_size=60, patch_size=16)
     with pytest.raises(ConfigError, match="num_heads"):
-        ModelConfig(embed_dim=62, num_heads=4).validated()
+        ModelConfig(embed_dim=62, num_heads=4)
     with pytest.raises(ConfigError, match="schedule"):
-        ModelConfig(patch_size=16, decoder_schedule=((8, 8),)).validated()
+        ModelConfig(patch_size=16, decoder_schedule=((8, 8),))
     with pytest.raises(ConfigError, match="variant B"):
-        ModelConfig(variant="C", skip_projection_channels=8).validated()
+        ModelConfig(variant="C", skip_projection_channels=8)
     with pytest.raises(ConfigError, match="task"):
-        ModelConfig(task="detection").validated()
+        ModelConfig(task="detection")
+
+
+def test_config_is_checked_as_it_is_made_and_never_changes():
+    cfg = tiny_config()
+    with pytest.raises(ConfigError, match="divisible"):
+        replace(cfg, patch_size=5)
+    with pytest.raises(FrozenInstanceError):
+        cfg.patch_size = 5
+    with pytest.raises(ConfigError, match="at most 64"):
+        replace(cfg, num_transformer_layers=65)
+    assert replace(cfg, num_transformer_layers=64).num_transformer_layers == 64
+    # A baseline reads no ViT setting: one away from its default is refused, the default is not.
+    with pytest.raises(ConfigError, match="patch_size, decoder_schedule"):
+        ModelConfig(variant="unet", patch_size=8, decoder_schedule=((8, 8), (8, 8), (8, 8)))
+    with pytest.raises(ConfigError, match="num_transformer_layers"):
+        ModelConfig(variant="autoencoder", num_transformer_layers=0)
+    assert ModelConfig(variant="unet", patch_size=16, embed_dim=64).decoder_schedule is None
 
 
 def test_default_schedule_adapts_to_patch_size():
-    cfg8 = ModelConfig(variant="C", image_size=64, patch_size=8).validated()
+    cfg8 = ModelConfig(variant="C", image_size=64, patch_size=8)
     assert cfg8.decoder_schedule == ((256, 256), (64, 64), (32, 32))
-    cfg16 = ModelConfig(variant="C", image_size=64, patch_size=16).validated()
+    cfg16 = ModelConfig(variant="C", image_size=64, patch_size=16)
     assert cfg16.decoder_schedule == ((512, 512), (256, 256), (64, 64), (32, 32))
 
 
@@ -160,7 +178,7 @@ def test_output_size_equals_input_size(rng, image_size, patch_size, variant):
     schedule = tuple([(16, 16), (12, 12), (8, 8), (6, 6)][-n:])
     cfg = ModelConfig(variant=variant, image_size=image_size, patch_size=patch_size,
                       embed_dim=8, num_heads=2, ffn_width=8, num_transformer_layers=1,
-                      decoder_schedule=schedule, out_channels=3, seed=2).validated()
+                      decoder_schedule=schedule, out_channels=3, seed=2)
     g = build_generator(cfg)
     out = g.forward(rng.uniform(-1, 1, size=(1, image_size, image_size, 3)), "eval")
     assert out.shape == (1, image_size, image_size, 3)
@@ -179,7 +197,7 @@ def test_variant_b_skip_projection_flag(rng):
     cfg = ModelConfig(variant="B", image_size=16, patch_size=4, embed_dim=8,
                       num_heads=2, ffn_width=8, num_transformer_layers=1,
                       decoder_schedule=((12, 12), (6, 6)), out_channels=3,
-                      skip_projection_channels=4, seed=5).validated()
+                      skip_projection_channels=4, seed=5)
     g = build_generator(cfg)
     names = set(g.shape_manifest())
     assert any(n.startswith("decoder.skips.") for n in names)
@@ -399,7 +417,7 @@ def test_checkpoint_failed_save_keeps_previous_file(tmp_path, monkeypatch):
 
 
 def test_defaults_reproduce_published_schedule():
-    cfg = ModelConfig().validated()
+    cfg = ModelConfig()
     assert (cfg.variant, cfg.patch_size, cfg.embed_dim, cfg.num_heads,
             cfg.ffn_width, cfg.num_transformer_layers) == ("C", 16, 64, 2, 32, 4)
     assert cfg.decoder_schedule == ((512, 512), (256, 256), (64, 64), (32, 32))
@@ -502,6 +520,36 @@ def test_load_without_state_keeps_no_optimizer_record(tmp_path):
         f.write(bytes([byte ^ 0xFF]))
     with pytest.raises(CheckpointFormatError, match="CRC"):
         load_checkpoint(paths[1])
+
+
+def test_failed_load_checks_the_crc_over_the_rest_in_reused_buffers(tmp_path):
+    # A stray 32 MiB record ahead of the model's is refused at its head; the
+    # 32 MiB it leaves unread still pass through the CRC, without a copy.
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_generator(tiny_config()), path)
+    blob = path.read_bytes()[:-4]
+    (n,) = struct.unpack("<I", blob[8:12])
+    (count,) = struct.unpack("<I", blob[12 + n:16 + n])
+    head, payload = _pack_record("stray", KIND_PARAM, np.ones(4 << 20))
+    body = b"".join([blob[:12 + n], struct.pack("<I", count + 1), head, payload.tobytes(), blob[16 + n:]])
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    middle = len(body) // 2
+    del blob, payload, body
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointMismatchError, match="stray"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    with open(path, "r+b") as f:  # a flip in the unread payload outranks the stray record
+        f.seek(middle)
+        byte = f.read(1)[0]
+        f.seek(-1, 1)
+        f.write(bytes([byte ^ 0xFF]))
+    with pytest.raises(CheckpointFormatError, match="CRC"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("dims", [(2 ** 32 - 1, 2 ** 32 - 1), (2 ** 20, 2 ** 20)])

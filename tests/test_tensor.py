@@ -13,18 +13,14 @@ from vit2img.tensor import Tensor
 
 # --- independent oracles -----------------------------------------------------
 
-def conv2d_oracle(x, w, b, stride, padding):
-    """Naive quadruple-loop cross-correlation, NHWC / [K,K,Cin,Cout]."""
+def conv2d_oracle(x, w, b, stride):
+    """Naive quadruple-loop 'same'-padded cross-correlation, NHWC / [K,K,Cin,Cout]."""
     n, h, wd, cin = x.shape
     k, _, _, cout = w.shape
-    if padding == "same":
-        ho, wo = math.ceil(h / stride), math.ceil(wd / stride)
-        tot_h = max((ho - 1) * stride + k - h, 0)
-        tot_w = max((wo - 1) * stride + k - wd, 0)
-        pt, pl = tot_h // 2, tot_w // 2
-    else:
-        ho, wo = (h - k) // stride + 1, (wd - k) // stride + 1
-        pt = pl = 0
+    ho, wo = math.ceil(h / stride), math.ceil(wd / stride)
+    tot_h = max((ho - 1) * stride + k - h, 0)
+    tot_w = max((wo - 1) * stride + k - wd, 0)
+    pt, pl = tot_h // 2, tot_w // 2
     out = np.zeros((n, ho, wo, cout))
     for b_ in range(n):
         for i in range(ho):
@@ -325,7 +321,7 @@ def test_normalization_is_one_tape_node(rng, norm):
 def test_conv2d_1x1_identity(rng):
     x = rng.normal(size=(1, 4, 4, 1))
     w = np.ones((1, 1, 1, 1))
-    out = T.conv2d(Tensor(x), Tensor(w), None, 1, "same")
+    out = T.conv2d(Tensor(x), Tensor(w), None, 1)
     np.testing.assert_array_equal(out.data, x)
 
 
@@ -333,38 +329,33 @@ def test_conv2d_box_kernel_interior():
     c = 3.7
     x = np.full((1, 5, 5, 1), c)
     w = np.ones((3, 3, 1, 1))
-    out = T.conv2d(Tensor(x), Tensor(w), None, 1, "same")
+    out = T.conv2d(Tensor(x), Tensor(w), None, 1)
     np.testing.assert_allclose(out.data[0, 2, 2, 0], 9 * c, rtol=1e-15)
 
 
-@pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")])
-def test_conv2d_matches_naive_oracle(rng, stride, padding):
+@pytest.mark.parametrize("stride", [1, 2], ids=["1-same", "2-same"])
+def test_conv2d_matches_naive_oracle(rng, stride):
     x = rng.normal(size=(1, 5, 5, 2))
     w = rng.normal(size=(3, 3, 2, 4))
     b = rng.normal(size=4)
-    out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding)
-    np.testing.assert_allclose(out.data, conv2d_oracle(x, w, b, stride, padding), atol=1e-12)
+    out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride)
+    np.testing.assert_allclose(out.data, conv2d_oracle(x, w, b, stride), atol=1e-12)
 
 
 def test_conv2d_same_output_size_is_ceil():
     x = Tensor(np.zeros((1, 7, 7, 1)))
     w = Tensor(np.zeros((3, 3, 1, 2)))
-    assert T.conv2d(x, w, None, 2, "same").shape == (1, 4, 4, 2)
-
-
-def test_conv2d_kernel_larger_than_input_valid():
-    with pytest.raises(DimensionError):
-        T.conv2d(Tensor(np.zeros((1, 2, 2, 1))), Tensor(np.zeros((5, 5, 1, 1))), None, 1, "valid")
+    assert T.conv2d(x, w, None, 2).shape == (1, 4, 4, 2)
 
 
 def test_conv2d_gradients(rng):
     x = rng.normal(size=(2, 5, 5, 2))
     w = rng.normal(size=(3, 3, 2, 3))
     b = rng.normal(size=3)
-    check_gradients(lambda xt, wt, bt: T.conv2d(xt, wt, bt, 2, "same"), [x, w, b])
+    check_gradients(lambda xt, wt, bt: T.conv2d(xt, wt, bt, 2), [x, w, b])
 
 
-def conv2d_explicit_cols_grads(x, w, b, g, stride, padding):
+def conv2d_explicit_cols_grads(x, w, b, g, stride):
     """dx, dW, db of conv2d from an im2col matrix built here, step by step.
 
     The GEMMs and the scatter order over (ki, kj) are those of an im2col
@@ -373,13 +364,10 @@ def conv2d_explicit_cols_grads(x, w, b, g, stride, padding):
     n, h, wd, cin = x.shape
     k, _, _, cout = w.shape
     ho, wo = g.shape[1:3]
-    if padding == "same":
-        pt = max((ho - 1) * stride + k - h, 0) // 2
-        pl = max((wo - 1) * stride + k - wd, 0) // 2
-        pb = max((ho - 1) * stride + k - h, 0) - pt
-        pr = max((wo - 1) * stride + k - wd, 0) - pl
-    else:
-        pt = pb = pl = pr = 0
+    pt = max((ho - 1) * stride + k - h, 0) // 2
+    pl = max((wo - 1) * stride + k - wd, 0) // 2
+    pb = max((ho - 1) * stride + k - h, 0) - pt
+    pr = max((wo - 1) * stride + k - wd, 0) - pl
     xpad = np.zeros((n, h + pt + pb, wd + pl + pr, cin))
     xpad[:, pt:pt + h, pl:pl + wd, :] = x
     cols = np.empty((n, ho, wo, k, k, cin))
@@ -398,16 +386,16 @@ def conv2d_explicit_cols_grads(x, w, b, g, stride, padding):
 
 
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")])
-def test_conv2d_gradients_match_explicit_cols(rng, stride, padding, k):
+@pytest.mark.parametrize("stride", [1, 2], ids=["1-same", "2-same"])
+def test_conv2d_gradients_match_explicit_cols(rng, stride, k):
     x = rng.normal(size=(2, 7, 6, 3))
     w = rng.normal(size=(k, k, 3, 4))
     b = rng.normal(size=4)
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-    out = T.conv2d(xt, wt, bt, stride, padding)
+    out = T.conv2d(xt, wt, bt, stride)
     g = rng.normal(size=out.shape)
     T.backward(T.sum_(T.mul(out, Tensor(g))))
-    dx, dw, db = conv2d_explicit_cols_grads(x, w, b, g, stride, padding)
+    dx, dw, db = conv2d_explicit_cols_grads(x, w, b, g, stride)
     np.testing.assert_array_equal(xt.grad, dx)
     np.testing.assert_array_equal(wt.grad, dw)
     np.testing.assert_array_equal(bt.grad, db)
@@ -469,12 +457,11 @@ def assert_rel_close(got, want, rel=1e-12):
     np.testing.assert_allclose(got, want, rtol=0, atol=rel * np.abs(want).max())
 
 
-@pytest.mark.parametrize("padding", ["same", "valid"])
 @pytest.mark.parametrize("k,size", [
-    pytest.param(k, size, id=f"k{k}-{size[0]}x{size[1]}")
+    pytest.param(k, size, id=f"k{k}-{size[0]}x{size[1]}-same")
     for k, size in [(2, (48, 48)), (2, (47, 45)), (3, (48, 48)), (3, (47, 45)), (4, (68, 68)), (4, (67, 69))]
 ])
-def test_conv2d_shifted_path_matches_explicit_cols(rng, monkeypatch, k, size, padding):
+def test_conv2d_shifted_path_matches_explicit_cols(rng, monkeypatch, k, size):
     def no_im2col(*args):
         raise AssertionError("a shifted-path shape reached im2col")
 
@@ -483,17 +470,17 @@ def test_conv2d_shifted_path_matches_explicit_cols(rng, monkeypatch, k, size, pa
     w = rng.normal(size=(k, k, 2, 3))
     b = rng.normal(size=3)
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-    out = T.conv2d(xt, wt, bt, 1, padding)
+    out = T.conv2d(xt, wt, bt, 1)
     assert shifted_path(*out.shape[1:3], k)
     # The forward oracle: the same patches as explicit columns, one einsum.
-    top = (k - 1) // 2 if padding == "same" else 0
-    bottom = k - 1 - top if padding == "same" else 0
+    top = (k - 1) // 2
+    bottom = k - 1 - top
     xpad = np.pad(x, ((0, 0), (top, bottom), (top, bottom), (0, 0)))
     windows = np.lib.stride_tricks.sliding_window_view(xpad, (k, k), axis=(1, 2))
     assert_rel_close(out.data, np.einsum("nhwcij,ijco->nhwo", windows, w) + b)
     g = rng.normal(size=out.shape)
     T.backward(T.sum_(T.mul(out, Tensor(g))))
-    for got, want in zip((xt.grad, wt.grad, bt.grad), conv2d_explicit_cols_grads(x, w, b, g, 1, padding)):
+    for got, want in zip((xt.grad, wt.grad, bt.grad), conv2d_explicit_cols_grads(x, w, b, g, 1)):
         assert_rel_close(got, want)
 
 
@@ -508,7 +495,7 @@ def test_conv2d_is_adjoint_of_conv2d_transpose(rng, stride, k, size, shifted):
     ho, wo = -(-size[0] // stride), -(-size[1] // stride)
     assert (stride == 1 and shifted_path(ho, wo, k)) == shifted
     y = rng.normal(size=(2, ho, wo, 4))
-    lhs = np.vdot(T.conv2d(Tensor(x), Tensor(w), None, stride, "same").data, y)
+    lhs = np.vdot(T.conv2d(Tensor(x), Tensor(w), None, stride).data, y)
     rhs = np.vdot(x, T.conv2d_transpose(Tensor(y), Tensor(w), None, stride).data)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
@@ -543,7 +530,7 @@ def test_conv2d_transpose_is_adjoint_of_conv2d(k, stride, ho, wo, cin, cout, see
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(1, ho * stride, wo * stride, cin))
     w = rng.normal(size=(k, k, cin, cout))
-    ax = T.conv2d(Tensor(x), Tensor(w), None, stride, "same").data
+    ax = T.conv2d(Tensor(x), Tensor(w), None, stride).data
     y = rng.normal(size=ax.shape)
     aty = T.conv2d_transpose(Tensor(y), Tensor(w), None, stride).data
     assert_adjoint(np.vdot(ax, y), np.vdot(x, aty), np.linalg.norm(ax) * np.linalg.norm(y))
@@ -591,21 +578,19 @@ def test_matmul_backward_is_its_adjoint_in_each_argument(m, inner, p, batch, see
     assert_adjoint(lhs, in_b, scale)  # and in b for a fixed a
 
 
-@pytest.mark.parametrize("op,stride,padding,shape", [
-    (T.conv2d, 1, "same", (2, 9, 9, 4)), (T.conv2d, 2, "same", (2, 9, 9, 4)),
-    (T.conv2d, 1, "valid", (2, 9, 9, 4)), (T.conv2d, 1, "same", (1, 48, 48, 4)),
-    (T.conv2d_transpose, 2, "same", (2, 9, 9, 4)),
-], ids=["1-same", "2-same", "1-valid", "1-same-shifted", "transpose-2-same"])
-def test_conv2d_backward_keeps_no_patch_matrix(rng, op, stride, padding, shape):
+@pytest.mark.parametrize("op,stride,shape", [
+    (T.conv2d, 1, (2, 9, 9, 4)), (T.conv2d, 2, (2, 9, 9, 4)), (T.conv2d, 1, (1, 48, 48, 4)),
+    (T.conv2d_transpose, 2, (2, 9, 9, 4)),
+], ids=["1-same", "2-same", "1-same-shifted", "transpose-2-same"])
+def test_conv2d_backward_keeps_no_patch_matrix(rng, op, stride, shape):
     n, h, wd, c = shape
     x = Tensor(rng.normal(size=shape), requires_grad=True)
     # The same input and output channels: conv2d_transpose's kernel is [K, K, Cout, Cin].
     kernel = (3, 3, 4, 5) if op is T.conv2d else (3, 3, 5, 4)
     w = Tensor(rng.normal(size=kernel), requires_grad=True)
     # conv2d_transpose pads as the 'same' conv2d it is the adjoint of.
-    out = op(x, w, Tensor(np.zeros(5)), stride, *([padding] if op is T.conv2d else []))
-    pad = 2 if padding == "same" else 0
-    xpad_bytes = n * (h + pad) * (wd + pad) * c * 8
+    out = op(x, w, Tensor(np.zeros(5)), stride)
+    xpad_bytes = n * (h + 2) * (wd + 2) * c * 8
     limit = max(xpad_bytes, out.data.nbytes)
     arrays = closure_arrays(out._backward)
     assert arrays  # the walk does reach the input and kernel
@@ -808,8 +793,8 @@ def test_no_grad_blocks_recording():
 def test_forward_determinism(rng):
     x = rng.normal(size=(2, 8, 8, 3))
     w = rng.normal(size=(3, 3, 3, 4))
-    a = T.conv2d(Tensor(x), Tensor(w), None, 1, "same").data
-    b = T.conv2d(Tensor(x), Tensor(w), None, 1, "same").data
+    a = T.conv2d(Tensor(x), Tensor(w), None, 1).data
+    b = T.conv2d(Tensor(x), Tensor(w), None, 1).data
     assert a.tobytes() == b.tobytes()
 
 

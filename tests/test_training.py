@@ -473,7 +473,7 @@ GOLDEN_TRAJECTORY = {
 def trajectory_setup(variant):
     """A tiny ``variant`` at 16 px, 4 samples of its task and its loss kind."""
     cfg = TRAJECTORY_CONFIGS[variant]
-    gen = build_generator(ModelConfig(image_size=16, seed=7, **cfg).validated())
+    gen = build_generator(ModelConfig(image_size=16, seed=7, **cfg))
     if cfg["task"] == "segmentation":
         return gen, tiny_dataset(4), "scc"
     return gen, synth_depth_dataset(4, image_size=16, seed=3), "mae"
