@@ -26,7 +26,7 @@ from .errors import ConfigError, DataError, NumericError, Vit2ImgError
 from .metrics import (MetricsReport, TinyClassifier, fid, format_table,
                       inception_score, make_extractor, ssim)
 from .models import (_VIT_VARIANTS, TASKS, VARIANTS, VIT_FIELDS, Generator, ModelConfig,
-                     build_generator, load_checkpoint)
+                     load_checkpoint)
 from .training import check_budget, loss_kind_for_task, train, write_train_log
 
 
@@ -248,9 +248,7 @@ def evaluate_model(gen: Generator, samples, extractor_kind: str, seed: int,
     extractor = make_extractor(extractor_kind, gen.config.image_size, seed, channels=channels)
     ssim_vals = [ssim(o, t) for o, t in zip(outputs_rendered, targets_rendered)]
     fid_val = fid(targets_rendered, outputs_rendered, extractor)
-    classifier = extractor if isinstance(extractor, TinyClassifier) else \
-        TinyClassifier(n_classes=8, seed=seed, channels=channels)
-    is_val = inception_score(outputs_rendered, classifier)
+    is_val = inception_score(outputs_rendered, TinyClassifier(n_classes=8, seed=seed, channels=channels))
     return MetricsReport(
         model=model_name,
         fid=fid_val,
@@ -301,7 +299,7 @@ def cmd_train(cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.update(task=mc.task, image_size=mc.image_size, out_channels=mc.out_channels)
     cfg.echo(out_dir / "config.txt")
-    gen = build_generator(mc)
+    gen = Generator(mc)
     montage_every = cfg.get("montage_every", 0)
 
     def epoch_hook(epoch: int) -> None:
@@ -370,7 +368,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
     trained: dict[str, Generator] = {}
     for name, config in configs.items():
-        trained[name], _ = train(build_generator(config), samples, loss_kind=loss_kind_for_task(mc.task),
+        trained[name], _ = train(Generator(config), samples, loss_kind=loss_kind_for_task(mc.task),
                                  seed=mc.seed, checkpoint_path=out_dir / f"{name}.ckpt", **budget)
 
     extractor_kind = cfg.get("extractor", "pixel")

@@ -127,8 +127,6 @@ class PairedSample:
 
     input: np.ndarray
     target: np.ndarray
-    id: str
-    task: str  # "segmentation" | "regression"
 
 
 @dataclass
@@ -187,7 +185,7 @@ def synth_segmentation_dataset(n: int, image_size: int = 64, classes: int = 3,
     border_class = classes - 1
     interior_classes = list(range(1, classes - 1)) or [1]
     samples = []
-    for idx in range(n):
+    for _ in range(n):
         img = _smooth_background(rng, image_size)
         target = np.zeros((image_size, image_size), dtype=np.int64)
         for _ in range(shapes_per_image):
@@ -200,7 +198,7 @@ def synth_segmentation_dataset(n: int, image_size: int = 64, classes: int = 3,
             img[band] = [-0.85, -0.85, -0.85]  # dark ink marks every border
             target[interior] = cls
             target[band] = border_class if classes >= 3 else cls
-        samples.append(PairedSample(np.clip(img, -1, 1), target, f"shapes-{seed}-{idx}", "segmentation"))
+        samples.append(PairedSample(np.clip(img, -1, 1), target))
     return samples
 
 
@@ -213,7 +211,7 @@ def synth_depth_dataset(n: int, image_size: int = 64, seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     samples = []
-    for idx in range(n):
+    for _ in range(n):
         img = _smooth_background(rng, image_size)
         depth = np.ones((image_size, image_size))  # far plane
         zbuf = np.full((image_size, image_size), np.inf)
@@ -231,8 +229,7 @@ def synth_depth_dataset(n: int, image_size: int = 64, seed: int = 0,
             color = rng.uniform(-0.3, 0.6, size=3) * shade + (shade - 0.5)
             img[visible] = np.clip(color, -1, 1)
             depth[visible] = 2.0 * z - 1.0
-        samples.append(PairedSample(np.clip(img, -1, 1), depth[:, :, None],
-                                    f"depth-{seed}-{idx}", "regression"))
+        samples.append(PairedSample(np.clip(img, -1, 1), depth[:, :, None]))
     return samples
 
 
@@ -251,44 +248,21 @@ def make_synthetic(kind: str, n: int, image_size: int, seed: int, classes: int =
 def montage(rows: list[list[np.ndarray]], path=None) -> np.ndarray:
     """Assemble tiles into a grid image with white 2-pixel separators.
 
-    ``rows`` is a list of rows, each a list of [-1, 1] images of one shape.
-    Returns the canvas; writes a PPM when ``path`` is given.
+    ``rows`` is a list of equally long rows of [-1, 1] images of one height
+    and width; a 1-channel tile is shown in gray.  Returns the canvas;
+    writes a PPM when ``path`` is given.
     """
     if not rows or not rows[0]:
         raise DimensionError("montage: no tiles")
     gap = 2
-    canvases = []
+    h, w = np.shape(rows[0][0])[:2]
+    if any(len(row) != len(rows[0]) or np.shape(img)[:2] != (h, w) for row in rows for img in row):
+        raise DimensionError("montage: tiles must fill equally long rows and share one size")
+    canvas = np.ones((len(rows) * (h + gap) - gap, len(rows[0]) * (w + gap) - gap, 3))
     for r, row in enumerate(rows):
-        tiles = []
-        for img in row:
-            img = np.asarray(img, dtype=np.float64)
-            if img.ndim == 2:
-                img = img[:, :, None]
-            if img.shape[2] == 1:
-                img = np.repeat(img, 3, axis=2)
-            tiles.append(img)
-        shape0 = tiles[0].shape
-        if any(t.shape != shape0 for t in tiles):
-            raise DimensionError(
-                f"montage: mixed tile sizes in row {r}: {[t.shape for t in tiles]}"
-            )
-        h = shape0[0]
-        sep = np.ones((h, gap, 3))
-        pieces = []
-        for i, t in enumerate(tiles):
-            if i:
-                pieces.append(sep)
-            pieces.append(t)
-        canvases.append(np.concatenate(pieces, axis=1))
-    width = max(c.shape[1] for c in canvases)
-    rows_out = []
-    for i, c in enumerate(canvases):
-        if c.shape[1] < width:
-            c = np.concatenate([c, np.ones((c.shape[0], width - c.shape[1], 3))], axis=1)
-        if i:
-            rows_out.append(np.ones((gap, width, 3)))
-        rows_out.append(c)
-    canvas = np.concatenate(rows_out, axis=0)
+        for i, img in enumerate(row):
+            y, x = r * (h + gap), i * (w + gap)
+            canvas[y:y + h, x:x + w] = np.reshape(img, (h, w, -1))
     if path is not None:
         save_image(canvas, path)
     return canvas
@@ -362,5 +336,5 @@ def load_manifest_dataset(manifest: DatasetManifest) -> list[PairedSample]:
             target = classes
         else:
             target = tgt_img
-        samples.append(PairedSample(inp, target, f"manifest-{i}", manifest.task))
+        samples.append(PairedSample(inp, target))
     return samples

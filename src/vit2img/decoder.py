@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError
 from .layers import LEAKY_SLOPE, BatchNorm, Conv2d, ConvTranspose2d, Module
 from .tensor import Tensor
 
@@ -20,17 +19,13 @@ DEFAULT_SCHEDULE: tuple[tuple[int, int], ...] = ((512, 512), (256, 256), (64, 64
 
 
 def tokens_to_grid(tokens) -> Tensor:
-    """Reshape [N, P, D] tokens onto a square [N, side, side, D] grid.
+    """Reshape [N, P, D] tokens onto a square [N, side, side, D] grid; P is a
+    square because the config's image is square and a multiple of its patch size.
 
     Row-major, the inverse of the patch ordering used by extract_patches.
     """
-    tokens = T.as_tensor(tokens)
-    if tokens.data.ndim != 3:
-        raise DimensionError(f"tokens_to_grid: expected [N, P, D] tokens, got {tokens.shape}")
     n, p, d = tokens.shape
     side = math.isqrt(p)
-    if side * side != p:
-        raise ConfigError(f"tokens_to_grid: token count {p} is not a perfect square")
     return T.reshape(tokens, (n, side, side, d))
 
 
@@ -77,15 +72,10 @@ class UpsampleStage(Module):
 def upsample_concat(encoded_grid, prev_activation, projection: Conv2d | None = None) -> Tensor:
     """Bilinearly upsample a skip source (a patch grid, or an encoder output
     already at size) to the previous activation's spatial size, optionally
-    1x1-convolve it, and concat on the channel axis."""
-    encoded_grid = T.as_tensor(encoded_grid)
-    prev_activation = T.as_tensor(prev_activation)
+    1x1-convolve it, and concat on the channel axis.  The activation is never
+    smaller than its source, and ``T.bilinear_upsample`` refuses one that is."""
     _, gh, gw, _ = encoded_grid.shape
     _, h, w, _ = prev_activation.shape
-    if h < gh or w < gw:
-        raise DimensionError(
-            f"upsample_concat: target {h}x{w} smaller than patch grid {gh}x{gw}"
-        )
     up = encoded_grid if (h, w) == (gh, gw) else T.bilinear_upsample(encoded_grid, h, w)
     if projection is not None:
         up = projection(up)

@@ -14,25 +14,19 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError
 from .layers import LayerNorm, Linear, Module, xavier_uniform
 from .tensor import Tensor
 
 
 def extract_patches(images, patch_size: int) -> Tensor:
-    """Split [N, H, W, C] images into [N, num_patches, patch_len] rows.
+    """Split square [N, H, H, C] images, H a multiple of ``patch_size``, into
+    [N, num_patches, patch_len] rows (the config and ``Generator.forward``
+    guarantee both).
 
     Patches are ordered left-to-right then top-to-bottom, and each patch is
     flattened row-major over (h, w, c); tokens_to_grid inverts this exactly.
     """
-    images = T.as_tensor(images)
-    if images.data.ndim != 4:
-        raise DimensionError(f"extract_patches: expected NHWC input, got {images.shape}")
-    n, h, w, c = images.shape
-    if h != w:
-        raise ConfigError(f"extract_patches: image must be square, got {h}x{w}")
-    if h % patch_size != 0:
-        raise ConfigError(f"image size {h} is not divisible by patch size {patch_size}")
+    n, h, _, c = images.shape
     side = h // patch_size
     x = T.reshape(images, (n, side, patch_size, side, patch_size, c))
     x = T.transpose(x, (0, 1, 3, 2, 4, 5))
@@ -53,11 +47,7 @@ class PatchEncoder(Module):
         )
 
     def __call__(self, patches):
-        patches = T.as_tensor(patches)
-        if patches.shape[-1] != self.projection.shape[0]:
-            raise DimensionError(
-                f"patch encoder: patch length {patches.shape[-1]} does not match projection rows {self.projection.shape[0]}"
-            )
+        """Embed [N, num_patches, patch_len] patches; ``T.matmul`` refuses any other patch length."""
         tokens = T.add(T.matmul(patches, self.projection), self.bias)
         return T.add(tokens, self.positions)
 
@@ -65,13 +55,9 @@ class PatchEncoder(Module):
 def scaled_dot_product_attention(q, k, v) -> Tensor:
     """Softmax(Q K^T / sqrt(d_k)) V with softmax over the key axis.
 
-    Accepts [T, d_k] or batched [..., T, d_k] operands sharing T and d_k.
+    Takes [T, d_k] or batched [..., T, d_k] operands sharing T and d_k, as
+    one head's projections of the same tokens always do.
     """
-    q, k, v = T.as_tensor(q), T.as_tensor(k), T.as_tensor(v)
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise DimensionError(
-            f"attention: Q {q.shape}, K {k.shape}, V {v.shape} do not share T and d_k"
-        )
     d_k = q.shape[-1]
     axes = list(range(len(k.shape)))
     axes[-1], axes[-2] = axes[-2], axes[-1]

@@ -14,9 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ContractError, DataError, DimensionError, NumericError
-from .tensor import Tensor
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -221,7 +219,7 @@ class RandomProjectionExtractor:
 
 class TinyClassifier:
     """A small fixed-architecture classifier over pooled pixels, never
-    trained: a seeded random-feature probe.
+    trained: a seeded random-feature probe, in numpy alone.
 
     Its softmax output feeds the Inception Score and its hidden activations
     serve as FID features.
@@ -234,30 +232,22 @@ class TinyClassifier:
         self.seed = seed
         rng = np.random.default_rng(seed)
         d = PixelDownsampleExtractor.GRID ** 2 * channels
-        self.w1 = Tensor(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, self.HIDDEN)))
-        self.b1 = Tensor(np.zeros(self.HIDDEN))
-        self.w2 = Tensor(rng.normal(0.0, 1.0 / np.sqrt(self.HIDDEN), size=(self.HIDDEN, n_classes)))
-        self.b2 = Tensor(np.zeros(n_classes))
-        self._pool = PixelDownsampleExtractor()
+        self.w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, self.HIDDEN))
+        self.w2 = rng.normal(0.0, 1.0 / np.sqrt(self.HIDDEN), size=(self.HIDDEN, n_classes))
 
     @property
     def descriptor(self) -> str:
         return f"tiny_classifier(k={self.n_classes},hidden={self.HIDDEN},seed={self.seed})"
 
-    def _hidden(self, images) -> Tensor:
-        feats = self._pool.extract(images)
-        return T.relu(T.add(T.matmul(Tensor(feats), self.w1), self.b1))
-
     def extract(self, images) -> np.ndarray:
-        with T.no_grad():
-            return self._hidden(images).data
+        """relu(pooled pixels @ w1): the hidden activations."""
+        return np.maximum(PixelDownsampleExtractor().extract(images) @ self.w1, 0.0)
 
-    def probabilities(self, images) -> np.ndarray:
-        with T.no_grad():
-            logits = T.add(T.matmul(self._hidden(images), self.w2), self.b2)
-            return T.softmax(logits, axis=-1).data
-
-    __call__ = probabilities
+    def __call__(self, images) -> np.ndarray:
+        """softmax(hidden activations @ w2): one class distribution per image."""
+        logits = self.extract(images) @ self.w2
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
 
 
 def make_extractor(kind: str, image_size: int, seed: int = 0, channels: int = 3):

@@ -263,11 +263,12 @@ def build_generator(config: ModelConfig) -> Generator:
 # declared size fits the bytes the file has left and its name, kind and
 # shape match the model; optimizer payloads are kept only when the state is
 # asked for.  So a load holds about one file's worth of what it returns.
-# A name read twice or not in the model is refused, as is a model array that
-# no record fills.  The CRC folds over the same bytes as they arrive and is
-# checked before anything is returned.  Any other fault is reported only once
-# the rest of the file has passed through the CRC and it has matched.  A header
-# whose model needs more bytes than the file has left is refused as it is built.
+# A name read twice or not in the model is refused, as are a model array that
+# no record fills and bytes between the last record and the CRC.  The CRC
+# folds over the same bytes as they arrive and is checked before anything is
+# returned.  Any other fault is reported only once the rest of the file has
+# passed through the CRC and it has matched.  A header whose model needs more
+# bytes than the file has left is refused as it is built.
 # Parameter and buffer values must be finite.
 
 CHECKPOINT_MAGIC = b"V2IG"
@@ -470,7 +471,8 @@ def _parse(r: _Reader, path, with_state: bool) -> tuple[Generator, dict[str, np.
                 f"{path}: stored {name} has shape {shape}, model expects {arr.shape}"
             )
         r.fill(arr)
-    r.take(r.size - r.pos)  # bytes after the last record are covered by the CRC too
+    if r.pos != r.size:  # the failure path still passes these bytes through the CRC
+        raise CheckpointFormatError(f"{path}: {r.size - r.pos} bytes after the last record")
     if unread:
         raise CheckpointMismatchError(f"{path}: no record for {sorted(unread)[:4]} of the model "
                                       f"its config builds")

@@ -6,6 +6,7 @@ binds still exists and that it restores them all."""
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import vit2img.models as models
 import vit2img.tensor as T
@@ -67,3 +68,19 @@ def test_benchmark_model_specs_build(monkeypatch):
 
     for spec in [*(train.model for train in workloads.TRAIN_SPECS.values()), workloads.EVAL_MODEL]:
         models.Generator(models.ModelConfig(**spec), rng=models._NoDraws())
+
+
+def test_benchmark_report_values(monkeypatch):
+    # eval-c closes each pass with this SSIM + FID + IS report; a metrics change
+    # that moved or broke it would otherwise show only in the benchmark's runs.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from vit2img.data import make_synthetic
+
+    samples = make_synthetic("shapes", 2, workloads.IMAGE_SIZE, 5)
+    logits = [np.random.default_rng(i).normal(size=(64, 64, 3)) for i in range(2)]
+    assert workloads._report(samples, logits) == pytest.approx(
+        (0.07788110263941045, 11.297982286449875, 1.0000349066069365), rel=1e-9)
+    exact = [np.eye(3)[s.target] for s in samples]
+    assert workloads._report(samples, exact) == pytest.approx((1.0, 0.0, 1.0010196273738396),
+                                                              rel=1e-9, abs=1e-9)

@@ -490,6 +490,34 @@ def test_regression_manifest_model_outputs_its_targets_channels(tmp_path):
                  "--out", str(tmp_path / "e")]) == 0
 
 
+# metrics.kv of the untrained tiny checkpoint (and its depth twin) on four
+# 16 px samples, seed 3: (dataset, extractor) -> (descriptor, fid, is, ssim).
+EVAL_GOLDEN = {
+    ("shapes", "pixel"): ("pixel_downsample(grid=4)", "15.510305", "1.000351", "0.075904"),
+    ("shapes", "proj"): ("seeded_random_projection(dim=16,seed=3)", "8.283238", "1.000351", "0.075904"),
+    ("shapes", "tiny"): ("tiny_classifier(k=8,hidden=32,seed=3)", "4.298373", "1.000351", "0.075904"),
+    ("depth", "pixel"): ("pixel_downsample(grid=4)", "11.641774", "1.000012", "0.003632"),
+    ("depth", "proj"): ("seeded_random_projection(dim=16,seed=3)", "11.509039", "1.000012", "0.003632"),
+    ("depth", "tiny"): ("tiny_classifier(k=8,hidden=32,seed=3)", "16.038361", "1.000012", "0.003632"),
+}
+
+
+@pytest.mark.parametrize("dataset, extractor", sorted(EVAL_GOLDEN))
+def test_eval_metrics_golden(tmp_path, tiny_checkpoint, dataset, extractor):
+    ckpt = tiny_checkpoint
+    if dataset == "depth":
+        ckpt = tmp_path / "depth.ckpt"
+        save_checkpoint(build_generator(replace(load_checkpoint(tiny_checkpoint).config,
+                                                task="regression", out_channels=1)), ckpt)
+    out = tmp_path / "e"
+    assert main(["eval", "--checkpoint", str(ckpt), "--synthetic", f"{dataset}:n=4,size=16",
+                 "--seed", "3", "--extractor", extractor, "--out", str(out)]) == 0
+    descriptor, fid, inception, ssim = EVAL_GOLDEN[dataset, extractor]
+    assert (out / "metrics.kv").read_text() == (
+        f"model = vit-c\nn_samples = 4\nextractor = {descriptor}\n"
+        f"fid = {fid}\nis = {inception}\nssim = {ssim}\n")
+
+
 def test_eval_synthetic_size_defaults_to_checkpoint(tmp_path, tiny_checkpoint):
     # tiny_checkpoint is 16 px; the spec gives no size.
     out = tmp_path / "e"
@@ -656,6 +684,13 @@ def manifest_text(text: bytes):
     return make
 
 
+def trailing_zeros(n: int):
+    """A copy of the checkpoint with ``n`` zero bytes between its last record and its CRC."""
+    def make(tmp_path, ckpt):
+        return checkpoint_case(tmp_path, ckpt.read_bytes()[:-4] + bytes(n))
+    return make
+
+
 MALFORMED = [
     ("header-not-utf8", bad_checkpoint(b"\xff\xfe{}"), CheckpointFormatError),
     ("header-bad-json", bad_checkpoint(b"{not json"), CheckpointFormatError),
@@ -690,6 +725,7 @@ MALFORMED = [
      CheckpointMismatchError),
     ("running-mean-shape-3", stored_as("decoder.stages.0.bn.running_mean", KIND_BUFFER, (3,)),
      CheckpointMismatchError),
+    ("trailing-bytes", trailing_zeros(32 << 20), CheckpointFormatError),
     ("ppm-0x0", empty_ppm, DecodeError),
     ("manifest-16x8-pair", non_square_manifest, DataError),
     ("manifest-classes-x", manifest_text(b"task = segmentation\nclasses = x\nimage_size = 16\n"), DataError),
@@ -726,6 +762,24 @@ def test_header_larger_than_its_file_is_refused_before_it_is_built(tmp_path, tin
     finally:
         tracemalloc.stop()
     assert seconds < 0.1 and peak < 8 << 20, (seconds, peak)
+
+
+def test_trailing_bytes_are_refused_without_being_held(tmp_path, tiny_checkpoint):
+    load, _ = {row[0]: row[1] for row in MALFORMED}["trailing-bytes"](tmp_path, tiny_checkpoint)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointFormatError, match=f"{32 << 20} bytes after the last record"):
+            load()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    path = tmp_path / "bad.ckpt"
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0xFF
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointFormatError, match="CRC mismatch"):
+        load()
 
 
 def test_invalid_header_config_names_the_file(tmp_path, tiny_checkpoint):

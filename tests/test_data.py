@@ -207,6 +207,17 @@ def test_montage_five_column_row_renders(tmp_path, rng):
     assert img.shape == (16 * 2 + 2, 16 * 5 + 2 * 4, 3)
 
 
+def test_montage_two_rows_of_rgb_and_gray_tiles_match_a_hand_built_canvas(rng):
+    # Depth rows: a 3-channel input beside 1-channel target and output tiles.
+    rows = [[rng.uniform(-1, 1, size=(8, 8, 3)), rng.uniform(-1, 1, size=(8, 8, 1)),
+             rng.uniform(-1, 1, size=(8, 8))] for _ in range(2)]
+    sep = np.ones((8, 2, 3))
+    built = [np.concatenate([rgb, sep, np.repeat(gray, 3, axis=2), sep, np.stack([flat] * 3, axis=2)], axis=1)
+             for rgb, gray, flat in rows]
+    expected = np.concatenate([built[0], np.ones((2, 28, 3)), built[1]], axis=0)
+    np.testing.assert_array_equal(montage(rows), expected)
+
+
 def test_montage_mixed_tile_sizes_error(rng):
     with pytest.raises(DimensionError):
         montage([[rng.normal(size=(8, 8, 3)), rng.normal(size=(9, 8, 3))]])
@@ -259,7 +270,7 @@ def test_manifest_class_out_of_range(tmp_path):
 
 
 def test_make_synthetic_dispatch():
-    assert make_synthetic("shapes", 2, 16, 0)[0].task == "segmentation"
-    assert make_synthetic("depth", 2, 16, 0)[0].task == "regression"
+    assert make_synthetic("shapes", 2, 16, 0)[0].target.dtype == np.int64  # a class map
+    assert make_synthetic("depth", 2, 16, 0)[0].target.shape == (16, 16, 1)  # a depth image
     with pytest.raises(DataError):
         make_synthetic("noise", 2, 16, 0)

@@ -4,7 +4,7 @@ import pytest
 import vit2img.tensor as T
 from conftest import check_gradients
 from vit2img.decoder import OutputHead, ResidualBlock, UpsampleStage, tokens_to_grid, upsample_concat
-from vit2img.errors import ConfigError, DimensionError
+from vit2img.errors import DimensionError
 from vit2img.layers import Conv2d
 from vit2img.tensor import Tensor
 
@@ -20,11 +20,6 @@ def test_tokens_to_grid_16_tokens(rng):
 def test_tokens_to_grid_single_token(rng):
     grid = tokens_to_grid(rng.normal(size=(1, 1, 8)))
     assert grid.shape == (1, 1, 1, 8)
-
-
-def test_tokens_to_grid_non_square_error(rng):
-    with pytest.raises(ConfigError):
-        tokens_to_grid(rng.normal(size=(1, 12, 4)))
 
 
 # --- residual block --------------------------------------------------------------

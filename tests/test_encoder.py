@@ -8,7 +8,7 @@ from conftest import check_gradients
 from vit2img.encoder import (MultiHeadAttention, PatchEncoder,
                              TransformerLayer, extract_patches,
                              scaled_dot_product_attention)
-from vit2img.errors import ConfigError, DimensionError
+from vit2img.errors import DimensionError
 from vit2img.tensor import Tensor
 
 
@@ -53,11 +53,6 @@ def test_extract_patch_ordering_by_enumeration():
                 for dj in range(2):
                     expected[pi * 2 + pj, di * 2 + dj] = (2 * pi + di) * 4 + (2 * pj + dj)
     np.testing.assert_array_equal(out.data[0], expected)
-
-
-def test_extract_patches_indivisible_error():
-    with pytest.raises(ConfigError):
-        extract_patches(np.zeros((1, 10, 10, 1)), 3)
 
 
 # --- patch encoding -------------------------------------------------------------
