@@ -23,7 +23,7 @@ from .data import (PALETTE, PairedSample, load_image, load_manifest_dataset,
                    make_synthetic, montage, read_manifest, render_class_map,
                    save_image)
 from .errors import ConfigError, DataError, NumericError, Vit2ImgError
-from .metrics import (MetricsReport, TinyClassifier, fid, format_table,
+from .metrics import (SSIM_WINDOW, MetricsReport, TinyClassifier, fid, format_table,
                       inception_score, make_extractor, ssim)
 from .models import (_VIT_VARIANTS, TASKS, VARIANTS, VIT_FIELDS, Generator, ModelConfig,
                      load_checkpoint)
@@ -70,6 +70,7 @@ class Setting(NamedTuple):
 
 DATA = ("train", "eval", "compare")  # the commands that read a dataset
 MODEL = ("train", "compare")         # the commands that build and train models
+SCORED = ("eval", "compare")         # the commands that score outputs with SSIM, FID and IS
 SETTINGS = {
     "out": Setting(nonempty, DATA, "--out", "output directory for run artifacts"),
     "seed": Setting(nonnegative, DATA, "--seed"),
@@ -93,7 +94,7 @@ SETTINGS = {
     "montage_every": Setting(nonnegative, ("train",), "--montage-every",
                              "write a progress montage every k epochs"),
     "checkpoint": Setting(nonempty, ("eval", "infer"), "--checkpoint"),
-    "extractor": Setting(str, ("eval", "compare"), "--extractor", choices=("pixel", "proj", "tiny")),
+    "extractor": Setting(str, SCORED, "--extractor", choices=("pixel", "proj", "tiny")),
     "self_eval": Setting(boolean, ("eval",), "--self-eval",
                          "score targets against themselves (sanity mode)"),
     "input": Setting(nonempty, ("infer",), "--input", "input PPM image"),
@@ -142,6 +143,7 @@ class RunConfig(dict):
     """Merged file + flag settings, typed by their ``SETTINGS`` parsers, with an echo writer."""
 
     def __init__(self, args: argparse.Namespace):
+        self.command = args.command
         raw = parse_config_file(args.config) if getattr(args, "config", None) else {}
         for key in raw:
             if args.command not in SETTINGS[key].commands:
@@ -173,7 +175,8 @@ def resolve_dataset(cfg: RunConfig, size: int) -> tuple[list[PairedSample], str,
     ``channels`` is the class count, or a regression target's channel count.
     ``size`` is the synthetic image size where neither the spec nor an
     ``image_size`` setting gives one.  The dataset decides the task; a
-    configured ``task`` must agree with it.
+    configured ``task`` must agree with it.  A ``SCORED`` command refuses
+    images smaller than SSIM's window.
     """
     if cfg.get("synthetic") and cfg.get("manifest"):
         raise ConfigError("pass either --synthetic or --manifest, not both")
@@ -201,6 +204,9 @@ def resolve_dataset(cfg: RunConfig, size: int) -> tuple[list[PairedSample], str,
         raise DataError(f"dataset {cfg.get('synthetic') or cfg.get('manifest')} has no samples")
     if cfg.get("task", task) != task:
         raise ConfigError(f"configured task {cfg.get('task')!r} does not match the dataset's task {task!r}")
+    if cfg.command in SCORED and image_size < SSIM_WINDOW:
+        raise ConfigError(f"{cfg.command} scores SSIM over an {SSIM_WINDOW}x{SSIM_WINDOW} window; "
+                          f"{image_size}-px images are smaller")
     channels = classes if task == "segmentation" else samples[0].target.shape[-1]
     return samples, task, channels, image_size
 

@@ -209,6 +209,8 @@ def synth_depth_dataset(n: int, image_size: int = 64, seed: int = 0,
     Depth target is in [-1, 1]: the far plane is +1 and nearer surfaces are
     smaller; occluded pixels take the nearest surface's depth.
     """
+    if image_size < 2:
+        raise DataError(f"synth_depth_dataset: need an image size of at least 2, got {image_size}")
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(n):

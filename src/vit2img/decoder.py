@@ -43,7 +43,7 @@ class ResidualBlock(Module):
         if in_ch != filters:
             self.proj = self.add_module("proj", Conv2d(rng, in_ch, filters, 1))
 
-    def __call__(self, x, mode: str):
+    def forward(self, x, mode: str):
         y = T.relu(self.bn1(self.conv1(x), mode))
         y = self.bn2(self.conv2(y), mode)
         shortcut = self.proj(x) if self.proj is not None else x
@@ -62,7 +62,7 @@ class UpsampleStage(Module):
             self.res = self.add_module("res", ResidualBlock(rng, transpose_ch, residual_ch))
         self.out_channels = residual_ch if residual_ch is not None else transpose_ch
 
-    def __call__(self, x, mode: str):
+    def forward(self, x, mode: str):
         y = T.leaky_relu(self.bn(self.ct(x), mode), LEAKY_SLOPE)
         if self.res is not None:
             y = self.res(y, mode)
@@ -91,6 +91,6 @@ class OutputHead(Module):
         self.tanh = tanh
         self.conv = self.add_module("conv", Conv2d(rng, in_ch, out_channels, 3))
 
-    def __call__(self, x):
+    def forward(self, x):
         y = self.conv(x)
         return T.tanh(y) if self.tanh else y

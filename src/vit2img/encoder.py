@@ -46,7 +46,7 @@ class PatchEncoder(Module):
             "positions", Tensor(rng.normal(0.0, 0.02, size=(num_patches, embed_dim))),
         )
 
-    def __call__(self, patches):
+    def forward(self, patches):
         """Embed [N, num_patches, patch_len] patches; ``T.matmul`` refuses any other patch length."""
         tokens = T.add(T.matmul(patches, self.projection), self.bias)
         return T.add(tokens, self.positions)
@@ -84,7 +84,7 @@ class MultiHeadAttention(Module):
             "wo", Tensor(xavier_uniform(rng, (embed_dim, embed_dim), embed_dim, embed_dim))
         )
 
-    def __call__(self, x):
+    def forward(self, x):
         heads = []
         for h in range(self.num_heads):
             q = T.matmul(x, self.w_q[h])
@@ -103,7 +103,7 @@ class FeedForward(Module):
         self.fc1 = self.add_module("fc1", Linear(rng, embed_dim, hidden_dim))
         self.fc2 = self.add_module("fc2", Linear(rng, hidden_dim, embed_dim))
 
-    def __call__(self, x):
+    def forward(self, x):
         return self.fc2(T.relu(self.fc1(x)))
 
 
@@ -117,6 +117,6 @@ class TransformerLayer(Module):
         self.ffn = self.add_module("ffn", FeedForward(rng, embed_dim, ffn_width))
         self.ln2 = self.add_module("ln2", LayerNorm(embed_dim))
 
-    def __call__(self, x):
+    def forward(self, x):
         y = self.ln1(T.add(x, self.attn(x)))
         return self.ln2(T.add(y, self.ffn(y)))

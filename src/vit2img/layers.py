@@ -3,7 +3,7 @@
 A ``Module`` is a thin registry of named parameter tensors, named buffer
 arrays (batch-norm running statistics) and child modules; it exists so that
 checkpoints and the optimizer can address every array by a stable dotted
-name.  Forward passes are explicit methods taking the mode where it matters.
+name.  Calling a module runs its ``forward``, which takes the mode where it matters.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ class Module:
         self._params: dict[str, Tensor] = {}
         self._buffers: dict[str, np.ndarray] = {}
         self._children: dict[str, Module] = {}
+
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
 
     def register_parameter(self, name: str, t: Tensor) -> Tensor:
         t.requires_grad = True
@@ -87,7 +90,7 @@ class Linear(Module):
         )
         self.bias = self.register_parameter("bias", Tensor(np.zeros(out_dim)))
 
-    def __call__(self, x):
+    def forward(self, x):
         return T.add(T.matmul(x, self.weight), self.bias)
 
 
@@ -97,7 +100,7 @@ class LayerNorm(Module):
         self.gamma = self.register_parameter("gamma", Tensor(np.ones(dim)))
         self.beta = self.register_parameter("beta", Tensor(np.zeros(dim)))
 
-    def __call__(self, x):
+    def forward(self, x):
         return T.layer_norm(x, self.gamma, self.beta, LAYER_NORM_EPS)
 
 
@@ -114,12 +117,12 @@ class BatchNorm(Module):
         self.running_var = self.register_buffer("running_var", np.ones(channels))
         # Scalar step counter, kept as an array so it serializes like a buffer.
         self.batches_tracked = self.register_buffer("batches_tracked", np.zeros(1))
-        self._warned = False
+        self._warned = [False]  # a Generator gives all of its batch norms one flag
 
-    def __call__(self, x, mode: str):
-        if mode == "eval" and self.batches_tracked[0] == 0 and not self._warned:
+    def forward(self, x, mode: str):
+        if mode == "eval" and self.batches_tracked[0] == 0 and not self._warned[0]:
             log.warning("batch norm evaluated before any training step; using initialized stats (mean 0, var 1)")
-            self._warned = True
+            self._warned[0] = True
         out = T.batch_norm(x, self.gamma, self.beta, self.running_mean,
                            self.running_var, mode, BATCH_NORM_EPS, self.momentum)
         if mode == "train":
@@ -140,7 +143,7 @@ class Conv2d(Module):
         )
         self.bias = self.register_parameter("bias", Tensor(np.zeros(out_ch)))
 
-    def __call__(self, x):
+    def forward(self, x):
         return T.conv2d(x, self.kernel, self.bias, self.stride)
 
 
@@ -157,5 +160,5 @@ class ConvTranspose2d(Module):
         )
         self.bias = self.register_parameter("bias", Tensor(np.zeros(out_ch)))
 
-    def __call__(self, x):
+    def forward(self, x):
         return T.conv2d_transpose(x, self.kernel, self.bias, 2)

@@ -109,11 +109,9 @@ def frechet_distance(mu1, sigma1, mu2, sigma2) -> float:
     cross = matrix_sqrt_psd(inner)
     diff = mu1 - mu2
     dist = float(diff @ diff + np.trace(sigma1) + np.trace(sigma2) - 2.0 * np.trace(cross))
-    if dist < 0.0:
-        if dist < -1e-6:
-            raise NumericError(f"frechet_distance: got {dist}, inputs are not valid covariances")
-        dist = 0.0
-    return dist
+    if dist < -1e-6:
+        raise NumericError(f"frechet_distance: got {dist}, inputs are not valid covariances")
+    return max(dist, 0.0)
 
 
 def _fit_gaussian(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,10 +119,7 @@ def _fit_gaussian(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, d = features.shape
     mu = features.mean(axis=0)
     centered = features - mu
-    if n > 1:
-        cov = centered.T @ centered / (n - 1)
-    else:
-        cov = np.zeros((d, d))
+    cov = centered.T @ centered / (n - 1) if n > 1 else np.zeros((d, d))
     cov += COV_SHRINKAGE * np.eye(d)
     return mu, cov
 
@@ -135,10 +130,8 @@ def fid(real_images, generated_images, extractor) -> float:
     gen = list(generated_images)
     if not real or not gen:
         raise DataError("fid: image sets must be nonempty")
-    f_real = extractor.extract(real)
-    f_gen = extractor.extract(gen)
-    mu_r, cov_r = _fit_gaussian(f_real)
-    mu_g, cov_g = _fit_gaussian(f_gen)
+    mu_r, cov_r = _fit_gaussian(extractor.extract(real))
+    mu_g, cov_g = _fit_gaussian(extractor.extract(gen))
     return frechet_distance(mu_r, cov_r, mu_g, cov_g)
 
 
@@ -290,8 +283,7 @@ def format_table(reports: list[MetricsReport], footer: Optional[str] = None) -> 
     widths = [max(len(row[i]) for row in rows) for i in range(4)]
     lines = ["  ".join(row[i].ljust(widths[i]) for i in range(4)).rstrip() for row in rows]
     if reports:
-        lines.append("")
-        lines.append(f"n_samples: {reports[0].n_samples}   extractor: {reports[0].extractor}")
+        lines += ["", f"n_samples: {reports[0].n_samples}   extractor: {reports[0].extractor}"]
     if footer:
         lines.append(footer)
     return "\n".join(lines) + "\n"

@@ -181,6 +181,9 @@ class Generator(Module):
                                            Conv2d(rng, cfg.embed_dim, cfg.skip_projection_channels, 1))
                 self.skips[i] = (0, conv)
         self.head = self.add_module("head", OutputHead(rng, in_ch, cfg.out_channels, cfg.task == "regression"))
+        warned = [False]  # so that an untrained model warns once, not once per batch norm
+        for bn in [m for m in self.modules() if isinstance(m, BatchNorm)]:
+            bn._warned = warned
 
     def forward(self, images, mode: str = "eval") -> Tensor:
         """Run the model; output spatial size equals input spatial size."""
@@ -213,6 +216,7 @@ class Generator(Module):
                 act = upsample_concat(sources[source], act, conv)
         return self.head(act)
 
+    # perfbench's tracer patches this alias by name; Module.__call__ would reach forward too.
     __call__ = forward
 
     # -- introspection ------------------------------------------------------

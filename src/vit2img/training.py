@@ -125,11 +125,8 @@ class TrainRecord:
 
 def _batch_arrays(samples, task: str):
     inputs = np.stack([s.input for s in samples])
-    if task == "segmentation":
-        targets = np.stack([s.target for s in samples]).astype(np.int64)
-    else:
-        targets = np.stack([s.target for s in samples])
-    return inputs, targets
+    targets = np.stack([s.target for s in samples])
+    return inputs, targets.astype(np.int64) if task == "segmentation" else targets
 
 
 def compute_loss(gen: Generator, inputs, targets, loss_kind: str, mode: str) -> Tensor:

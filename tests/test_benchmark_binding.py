@@ -84,3 +84,26 @@ def test_benchmark_report_values(monkeypatch):
     exact = [np.eye(3)[s.target] for s in samples]
     assert workloads._report(samples, exact) == pytest.approx((1.0, 0.0, 1.0010196273738396),
                                                               rel=1e-9, abs=1e-9)
+
+
+def test_benchmark_module_groups_get_forward_and_backward_time(monkeypatch):
+    # The tracer times modules by wrapping ``Module.__call__``; had it wrapped
+    # nothing, every module-group metric would read 0, in traced runs alone.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    gen = models.Generator(models.ModelConfig())
+    x = np.random.default_rng(0).uniform(-1, 1, size=(1, 64, 64, 3))
+    t = tracer.Tracer()
+    try:
+        t.install()
+        t.begin_step(1)
+        T.backward(T.mean(gen.forward(x, "train")))
+        t.end_step()
+    finally:
+        t.uninstall()
+    values, _ = tracer.per_layer(t, reports=0, overhead=0.0)
+    for group in tracer.MODULE_GROUPS:
+        assert values[f"{group}.fwd_ms"] > 0 and values[f"{group}.bwd_ms"] > 0, group
+    paths = {s[1] for s in t.spans if s[0] == "module"}
+    assert {"encoder.layers.0.attn", "decoder.stages.0.res.conv1", "head.conv"} <= paths

@@ -133,6 +133,12 @@ def test_train_depth_task(tmp_path):
     assert (out / "checkpoint.ckpt").exists()
 
 
+def test_train_accepts_images_below_the_ssim_window(tmp_path):
+    # Only the scoring commands need SSIM's 11-px window.
+    out = run_train(tmp_path, synthetic="shapes:n=2,size=8", steps="1", extra=["--image-size", "8"])
+    assert (out / "checkpoint.ckpt").exists() and (out / "montage.ppm").exists()
+
+
 def test_train_config_error_exit_2(tmp_path, capsys):
     rc = main(["train", "--synthetic", "shapes:n=4,size=16", "--out",
                str(tmp_path / "x"), "--image-size", "16", "--patch-size", "5"])
@@ -232,6 +238,16 @@ REJECTED = [
     ("train-out-channels-9-on-3-classes", ["train", *SHAPES, *TINY_MODEL, "--out-channels", "9"], 2),
     ("eval-3-channel-checkpoint-on-5-classes",
      ["eval", "--checkpoint", "{ckpt}", "--synthetic", "shapes:n=2,size=16,classes=5"], 2),
+    ("train-depth-size-0", ["train", "--synthetic", "depth:n=2,size=0", *TINY_MODEL], 3),
+    ("train-depth-size-1", ["train", "--synthetic", "depth:n=2,size=1", *TINY_MODEL], 3),
+    ("eval-depth-size-0", ["eval", "--checkpoint", "{tmp}/depth.ckpt", "--synthetic", "depth:n=2,size=0"], 3),
+    ("eval-depth-size-1", ["eval", "--checkpoint", "{tmp}/depth.ckpt", "--synthetic", "depth:n=2,size=1"], 3),
+    ("compare-depth-size-0", ["compare", "--synthetic", "depth:n=2,size=0", *TINY_MODEL], 3),
+    ("compare-depth-size-1", ["compare", "--synthetic", "depth:n=2,size=1", *TINY_MODEL], 3),
+    # SSIM's window is 11 px: eval and compare refuse smaller images before they train or write.
+    ("eval-image-size-8", ["eval", "--checkpoint", "{tmp}/size-8.ckpt", "--synthetic", "shapes:n=2,size=8"], 2),
+    ("compare-image-size-8",
+     ["compare", "--synthetic", "shapes:n=2,size=8", *TINY_MODEL, "--image-size", "8", "--steps", "1"], 2),
 ]
 
 
@@ -253,6 +269,8 @@ def test_rejected_invocation_leaves_no_run_directory(tmp_path, tiny_checkpoint, 
                                        pairs=[("in.ppm", "tgt.ppm")]), tmp_path / f"{name}.manifest")
     depth = replace(load_checkpoint(tiny_checkpoint).config, task="regression", out_channels=1)
     save_checkpoint(build_generator(depth), tmp_path / "depth.ckpt")
+    small = replace(load_checkpoint(tiny_checkpoint).config, image_size=8)
+    save_checkpoint(build_generator(small), tmp_path / "size-8.ckpt")
     monkeypatch.chdir(tmp_path)
     before = sorted(tmp_path.iterdir())
     out = tmp_path / "run"

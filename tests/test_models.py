@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import struct
 import sys
 import threading
@@ -9,12 +10,14 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+import vit2img.cli  # noqa: F401  (imports every module of the package)
 import vit2img.tensor as T
 from conftest import record_heads
 from vit2img.errors import (CheckpointFormatError, CheckpointMismatchError,
                             CheckpointVersionError, ConfigError, DimensionError)
-from vit2img.models import (KIND_PARAM, ModelConfig, _pack_record, _RunningCrc, build_generator,
-                            load_checkpoint, save_checkpoint)
+from vit2img.layers import BatchNorm, Module
+from vit2img.models import (KIND_PARAM, Generator, ModelConfig, _pack_record, _RunningCrc,
+                            build_generator, load_checkpoint, save_checkpoint)
 from vit2img.training import AdamState, adam_step, mae_loss
 
 
@@ -227,6 +230,55 @@ def test_baseline_param_count_within_2x_of_c():
                    for v in ("C", "unet", "autoencoder"))
     assert c / 2 <= unet <= 2 * c
     assert c / 2 <= ae <= 2 * c
+
+
+# --- the module call protocol --------------------------------------------------------
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_module_is_entered_through_module_call():
+    classes = {cls for cls in _subclasses(Module) if cls.__module__.startswith("vit2img.")}
+    assert len(classes) == 13  # 12 building blocks and Generator
+    for cls in classes:
+        assert "forward" in vars(cls), cls
+        if cls is Generator:  # the benchmark's tracer patches this alias by name
+            assert vars(cls)["__call__"] is vars(cls)["forward"]
+        else:
+            assert "__call__" not in vars(cls), cls
+
+
+def test_module_call_passes_its_arguments_to_forward_unchanged():
+    class Probe(Module):
+        def forward(self, *args, **kwargs):
+            return args, kwargs
+
+    x = object()
+    assert Probe()(x, 2, mode="eval") == ((x, 2), {"mode": "eval"})
+    bn = BatchNorm(3)
+    bn.batches_tracked[0] = 1
+    images = np.random.default_rng(0).normal(size=(2, 4, 4, 3))
+    assert bn(images, mode="eval").data.tobytes() == bn.forward(images, "eval").data.tobytes()
+
+
+UNTRAINED = "batch norm evaluated before any training step"
+
+
+def test_untrained_model_warns_once_not_once_per_batch_norm(caplog, rng):
+    gen = build_generator(ModelConfig())
+    assert sum(isinstance(m, BatchNorm) for m in gen.modules()) == 12
+    x = rng.uniform(-1, 1, size=(1, 64, 64, 3))
+    with caplog.at_level(logging.WARNING, logger="vit2img"), T.no_grad():
+        gen.forward(x, "eval")
+        gen.forward(x, "eval")
+    assert sum(UNTRAINED in r.message for r in caplog.records) == 1
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="vit2img"), T.no_grad():
+        build_generator(tiny_config()).forward(np.zeros((1, 16, 16, 3)), "eval")
+    assert sum(UNTRAINED in r.message for r in caplog.records) == 1  # each model warns for itself
 
 
 # --- checkpoints -------------------------------------------------------------------
