@@ -26,7 +26,7 @@ from .errors import ConfigError, DataError, NumericError, Vit2ImgError
 from .metrics import (SSIM_WINDOW, MetricsReport, TinyClassifier, fid, format_table,
                       inception_score, make_extractor, ssim)
 from .models import (_VIT_VARIANTS, TASKS, VARIANTS, VIT_FIELDS, Generator, ModelConfig,
-                     load_checkpoint)
+                     load_checkpoint, save_checkpoint)
 from .training import check_budget, loss_kind_for_task, train, write_train_log
 
 
@@ -103,7 +103,7 @@ SETTINGS = {
 
 
 def parse_config_file(path) -> dict[str, str]:
-    values: dict[str, str] = {}
+    values: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     try:
         with open(path, encoding="utf-8") as f:
             lines = list(f)
@@ -118,8 +118,10 @@ def parse_config_file(path) -> dict[str, str]:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
         if key not in SETTINGS:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-        values[key] = val
-    return values
+        if key in values:
+            raise ConfigError(f"{path}:{line_no}: config key {key!r} is already set on line {values[key][0]}")
+        values[key] = (line_no, val)
+    return {key: val for key, (_, val) in values.items()}
 
 
 def parse_synthetic_spec(spec: str) -> tuple[str, dict[str, int]]:
@@ -312,15 +314,9 @@ def cmd_train(cfg: RunConfig) -> int:
         if montage_every and (epoch + 1) % montage_every == 0:
             _write_montage([gen], samples, out_dir / f"montage-epoch{epoch + 1:04d}.ppm")
 
-    gen, records = train(
-        gen, samples,
-        loss_kind=loss_kind_for_task(mc.task),
-        seed=mc.seed,
-        checkpoint_path=out_dir / "checkpoint.ckpt",
-        stop_loss=cfg.get("stop_loss"),
-        epoch_hook=epoch_hook,
-        **budget,
-    )
+    records = train(gen, samples, loss_kind=loss_kind_for_task(mc.task), seed=mc.seed,
+                    stop_loss=cfg.get("stop_loss"), epoch_hook=epoch_hook, **budget)
+    save_checkpoint(gen, out_dir / "checkpoint.ckpt")
     write_train_log(records, out_dir / "train.log")
     _write_montage([gen], samples, out_dir / "montage.ppm")
     print(f"trained {mc.variant} for {len(records)} steps; final loss {records[-1].loss:.4f}")
@@ -372,10 +368,10 @@ def cmd_compare(cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.echo(out_dir / "config.txt")
 
-    trained: dict[str, Generator] = {}
-    for name, config in configs.items():
-        trained[name], _ = train(Generator(config), samples, loss_kind=loss_kind_for_task(mc.task),
-                                 seed=mc.seed, checkpoint_path=out_dir / f"{name}.ckpt", **budget)
+    trained = {name: Generator(config) for name, config in configs.items()}
+    for name, gen in trained.items():
+        train(gen, samples, loss_kind=loss_kind_for_task(mc.task), seed=mc.seed, **budget)
+        save_checkpoint(gen, out_dir / f"{name}.ckpt")
 
     extractor_kind = cfg.get("extractor", "pixel")
     reports = [evaluate_model(trained[name], samples, extractor_kind, mc.seed, name)

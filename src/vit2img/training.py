@@ -11,7 +11,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, DataError, DimensionError, NumericError
 from .layers import BatchNorm
-from .models import Generator, save_checkpoint
+from .models import Generator
 from .tensor import Tensor
 
 ADAM_LR = 2e-4
@@ -129,13 +129,12 @@ def _batch_arrays(samples, task: str):
     return inputs, targets.astype(np.int64) if task == "segmentation" else targets
 
 
-def compute_loss(gen: Generator, inputs, targets, loss_kind: str, mode: str) -> Tensor:
+def compute_loss(gen: Generator, inputs, targets, mode: str) -> Tensor:
+    """The loss of ``gen``'s task: cross-entropy for segmentation, else MAE."""
     out = gen.forward(inputs, mode)
-    if loss_kind == "scc":
+    if gen.config.task == "segmentation":
         return sparse_categorical_crossentropy(out, targets)
-    if loss_kind == "mae":
-        return mae_loss(out, targets)
-    raise ContractError(f"unknown loss kind {loss_kind!r}; expected 'scc' or 'mae'")
+    return mae_loss(out, targets)
 
 
 def loss_kind_for_task(task: str) -> str:
@@ -150,19 +149,22 @@ def check_budget(epochs: int, batch_size: int, max_steps: Optional[int] = None) 
 
 
 def train(gen: Generator, dataset, epochs: int, batch_size: int, loss_kind: str,
-          seed: int, checkpoint_path=None, max_steps: Optional[int] = None,
+          seed: int, max_steps: Optional[int] = None,
           stop_loss: Optional[float] = None,
           record_hook: Optional[Callable[[TrainRecord], None]] = None,
           epoch_hook: Optional[Callable[[int], None]] = None,
-          state: Optional[AdamState] = None) -> tuple[Generator, list[TrainRecord]]:
-    """Train ``gen`` in place; fully deterministic given (seed, config, data).
+          state: Optional[AdamState] = None) -> list[TrainRecord]:
+    """Train ``gen`` in place and return one record per optimizer step.
 
-    Shuffling, batching and initialization all derive from explicit seeds.
+    Fully deterministic given (seed, config, data): shuffling, batching and
+    initialization all derive from explicit seeds.  The loss is the one
+    ``compute_loss`` picks for ``gen``'s task; ``loss_kind`` must name it
+    (``loss_kind_for_task``) and is checked before the first forward.
     Training aborts with NumericError (naming the batch) if the loss goes
-    non-finite.  A checkpoint is written at the end when ``checkpoint_path``
-    is given.  ``max_steps`` caps the number of optimizer steps;
+    non-finite.  ``max_steps`` caps the number of optimizer steps;
     ``stop_loss`` stops once the batch loss falls below it.  The budget must
-    pass ``check_budget``.
+    pass ``check_budget``.  Adam runs on ``state`` when given, else on a
+    fresh one.  Nothing is saved: the caller decides what a checkpoint holds.
 
     Each step's graph is dropped right after its backward, so at most one
     tape is alive at a time.
@@ -171,7 +173,7 @@ def train(gen: Generator, dataset, epochs: int, batch_size: int, loss_kind: str,
         raise DataError("train: dataset is empty")
     check_budget(epochs, batch_size, max_steps)
     task = gen.config.task
-    if (task == "segmentation") != (loss_kind == "scc"):
+    if loss_kind != loss_kind_for_task(task):
         raise ContractError(f"loss kind {loss_kind!r} does not fit task {task!r}")
     rng = np.random.default_rng(seed)
     state = state if state is not None else AdamState()
@@ -185,7 +187,7 @@ def train(gen: Generator, dataset, epochs: int, batch_size: int, loss_kind: str,
             batch_idx = order[start:start + batch_size]
             inputs, targets = _batch_arrays([dataset[i] for i in batch_idx], task)
             t0 = time.perf_counter()
-            loss = compute_loss(gen, inputs, targets, loss_kind, "train")
+            loss = compute_loss(gen, inputs, targets, "train")
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise NumericError(
@@ -209,9 +211,7 @@ def train(gen: Generator, dataset, epochs: int, batch_size: int, loss_kind: str,
             epoch_hook(epoch)
         if done:
             break
-    if checkpoint_path is not None:
-        save_checkpoint(gen, checkpoint_path, state.as_dict())
-    return gen, records
+    return records
 
 
 def refresh_batch_norm_stats(gen: Generator, dataset, batch_size: int,

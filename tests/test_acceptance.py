@@ -244,8 +244,8 @@ def test_criterion_6_overfit_smoke():
         gen = build_generator(cfg)
         state = AdamState()  # lr 2e-4, beta1 0.5, beta2 0.999 as published
         assert (ADAM_LR, ADAM_BETA1, ADAM_BETA2) == (2e-4, 0.5, 0.999)
-        gen, records = train(gen, data, epochs=200, batch_size=4, loss_kind="scc",
-                             seed=0, max_steps=400, state=state)
+        records = train(gen, data, epochs=200, batch_size=4, loss_kind="scc",
+                        seed=0, max_steps=400, state=state)
         assert records[-1].step <= 1500
         assert min(r.loss for r in records) < 0.2
         # forward-only recalibration so eval-mode BN statistics reflect the
@@ -255,7 +255,7 @@ def test_criterion_6_overfit_smoke():
         inputs = np.stack([s.input for s in data])
         targets = np.stack([s.target for s in data])
         with T.no_grad():
-            eval_loss = compute_loss(gen, inputs, targets, "scc", "eval").item()
+            eval_loss = compute_loss(gen, inputs, targets, "eval").item()
             outs = gen.forward(inputs, "eval").data
         assert eval_loss < 0.2, f"eval-mode loss {eval_loss}"
         ssims = [ssim(render_class_map(np.argmax(outs[i], -1)),
@@ -279,8 +279,8 @@ def test_criterion_7_task_generality():
         for task, out_channels, data, loss_kind in runs:
             cfg = ModelConfig(task=task, out_channels=out_channels, **shared)
             gen = build_generator(cfg)
-            gen, records = train(gen, data, epochs=100, batch_size=4,
-                                 loss_kind=loss_kind, seed=3, max_steps=120)
+            records = train(gen, data, epochs=100, batch_size=4,
+                            loss_kind=loss_kind, seed=3, max_steps=120)
             assert records[-1].step <= 500
             first = np.mean([r.loss for r in records[:5]])
             last = np.mean([r.loss for r in records[-5:]])
@@ -311,8 +311,9 @@ def test_criterion_9_determinism_persistence(tmp_path, rng):
             gen = build_generator(tiny_c_config())
             data = synth_segmentation_dataset(4, 16, 2, seed=6)
             path = tmp_path / f"run{run}.ckpt"
-            train(gen, data, epochs=3, batch_size=2, loss_kind="scc", seed=6,
-                  checkpoint_path=path)
+            state = AdamState()
+            train(gen, data, epochs=3, batch_size=2, loss_kind="scc", seed=6, state=state)
+            save_checkpoint(gen, path, optimizer_state=state.as_dict())
             ckpts.append(path.read_bytes())
         assert ckpts[0] == ckpts[1]
 

@@ -15,11 +15,13 @@ from conftest import read_records, record_heads, write_manifest
 from vit2img.cli import (SETTINGS, RunConfig, build_parser, main, parse_config_file,
                          parse_synthetic_spec)
 from vit2img.data import (PALETTE, DatasetManifest, float_to_byte, load_image,
-                          load_manifest_dataset, read_manifest, save_image)
+                          load_manifest_dataset, read_manifest, save_image,
+                          synth_segmentation_dataset)
 from vit2img.errors import (CheckpointFormatError, CheckpointMismatchError, ConfigError,
                             DataError, DecodeError)
-from vit2img.models import (KIND_BUFFER, KIND_PARAM, ModelConfig, _pack_record,
+from vit2img.models import (KIND_BUFFER, KIND_OPT, KIND_PARAM, ModelConfig, _pack_record,
                             build_generator, load_checkpoint, save_checkpoint)
+from vit2img.training import AdamState, train
 
 TINY_MODEL = ["--image-size", "16", "--patch-size", "4", "--embed-dim", "8",
               "--num-heads", "2", "--ffn-width", "8", "--num-layers", "1"]
@@ -78,6 +80,13 @@ def test_config_file_unknown_key(tmp_path):
         parse_config_file(cfg)
 
 
+def test_config_file_repeated_key(tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("seed = 1\n# a second value for the same key\nseed = 2\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}:3: config key 'seed' is already set on line 1")):
+        parse_config_file(cfg)
+
+
 def test_config_task_must_match_dataset(tmp_path, capsys):
     # The dataset decides the task; a config file may only restate it.
     cfg = tmp_path / "run.cfg"
@@ -121,6 +130,49 @@ def test_train_deterministic_checkpoints(tmp_path):
     out1 = run_train(tmp_path, "r1")
     out2 = run_train(tmp_path, "r2")
     assert (out1 / "checkpoint.ckpt").read_bytes() == (out2 / "checkpoint.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("every, epochs", [("1", [1, 2]), ("2", [2])])
+def test_train_montage_every(tmp_path, every, epochs):
+    out = tmp_path / "run"
+    assert main(["train", "--synthetic", "shapes:n=4,size=16", "--out", str(out), "--batch-size", "2",
+                 "--epochs", "2", "--montage-every", every, *TINY_MODEL]) == 0
+    written = sorted(p.name for p in out.glob("montage-epoch*.ppm"))
+    assert written == [f"montage-epoch{e:04d}.ppm" for e in epochs]
+    for name in written:  # 4 rows of input | target | output, 16 px tiles, 2 px gaps
+        assert load_image(out / name).shape == (4 * 16 + 3 * 2, 3 * 16 + 2 * 2, 3)
+    # The last epoch's montage shows the model that training returns.
+    assert (out / "montage-epoch0002.ppm").read_bytes() == (out / "montage.ppm").read_bytes()
+
+
+def test_run_checkpoints_hold_the_model_only(tmp_path):
+    trained = run_train(tmp_path, "t", steps="1")
+    compared = tmp_path / "cmp"
+    assert main(["compare", "--synthetic", "shapes:n=4,size=16", "--out", str(compared),
+                 "--steps", "1", *TINY_MODEL]) == 0
+    paths = [*trained.glob("*.ckpt"), *compared.glob("*.ckpt")]
+    assert len(paths) == 4
+    for path in paths:
+        kinds = {kind for kind, _ in read_records(path.read_bytes()).values()}
+        assert kinds == {KIND_PARAM, KIND_BUFFER}, path
+
+
+def test_eval_passes_over_optimizer_records(tmp_path):
+    # A file with Adam's state, as the API still writes it, scores exactly as
+    # its model-only twin.
+    gen = load_checkpoint(run_train(tmp_path, "t", steps="1") / "checkpoint.ckpt")
+    state = AdamState()
+    train(gen, synth_segmentation_dataset(4, 16, 3, seed=1), epochs=1, batch_size=2,
+          loss_kind="scc", seed=0, state=state)
+    save_checkpoint(gen, tmp_path / "model.ckpt")
+    save_checkpoint(gen, tmp_path / "state.ckpt", optimizer_state=state.as_dict())
+    kinds = {kind for kind, _ in read_records((tmp_path / "state.ckpt").read_bytes()).values()}
+    assert KIND_OPT in kinds
+    for name in ("model", "state"):
+        assert main(["eval", "--checkpoint", str(tmp_path / f"{name}.ckpt"), "--synthetic",
+                     "shapes:n=4,size=16", "--out", str(tmp_path / f"{name}-eval")]) == 0
+    assert (tmp_path / "state-eval" / "metrics.kv").read_bytes() == \
+        (tmp_path / "model-eval" / "metrics.kv").read_bytes()
 
 
 def test_train_variant_b_no_shape_errors(tmp_path):
@@ -211,6 +263,8 @@ REJECTED = [
     ("train-stop-loss-nan", ["train", *SHAPES, *TINY_MODEL, "--stop-loss", "nan"], 2),
     ("train-stop-loss-nan-in-config",
      ["train", "--config", "{tmp}/nan-stop.cfg", *SHAPES, *TINY_MODEL, "--out", "{tmp}/run"], 2),
+    ("train-seed-twice-in-config",
+     ["train", "--config", "{tmp}/seed-twice.cfg", *SHAPES, *TINY_MODEL, "--out", "{tmp}/run"], 2),
     ("train-missing-config", ["train", "--config", "{tmp}/none.cfg", *SHAPES, *TINY_MODEL, "--out", "{tmp}/run"], 2),
     ("eval-config-not-utf8",
      ["eval", "--config", "{tmp}/latin1.cfg", "--checkpoint", "{ckpt}", *SHAPES, "--out", "{tmp}/run"], 2),
@@ -260,6 +314,7 @@ def test_rejected_invocation_leaves_no_run_directory(tmp_path, tiny_checkpoint, 
     # infer has no out; its rows write nothing else.
     (tmp_path / "empty-out.cfg").write_text("out = \n")
     (tmp_path / "nan-stop.cfg").write_text("stop_loss = nan\n")
+    (tmp_path / "seed-twice.cfg").write_text("seed = 1\nseed = 2\n")
     (tmp_path / "latin1.cfg").write_bytes("seed = 1\n# caf\u00e9\n".encode("latin-1"))
     save_image(np.zeros((16, 16, 3)), tmp_path / "in.ppm")
     save_image(np.full((16, 16, 3), -1.0), tmp_path / "tgt.ppm")  # class 0 everywhere

@@ -191,7 +191,7 @@ def test_adam_reference_helper_agrees():
 def test_train_step_count_arithmetic():
     g = tiny_model()
     data = tiny_dataset(4)
-    _, records = train(g, data, epochs=1, batch_size=2, loss_kind="scc", seed=0)
+    records = train(g, data, epochs=1, batch_size=2, loss_kind="scc", seed=0)
     assert len(records) == 2
     assert [r.step for r in records] == [1, 2]
 
@@ -200,8 +200,8 @@ def test_train_determinism_bitwise(tmp_path):
     outs = []
     for run in range(2):
         g = tiny_model()
-        _, records = train(g, tiny_dataset(4), epochs=3, batch_size=2,
-                           loss_kind="scc", seed=9)
+        records = train(g, tiny_dataset(4), epochs=3, batch_size=2,
+                        loss_kind="scc", seed=9)
         outs.append((records[-1].loss, np.concatenate([p.data.ravel() for p in g.parameters()])))
     assert outs[0][0] == outs[1][0]
     assert outs[0][1].tobytes() == outs[1][1].tobytes()
@@ -210,8 +210,8 @@ def test_train_determinism_bitwise(tmp_path):
 def test_train_loss_decreases_smoke():
     g = tiny_model()
     data = tiny_dataset(8)
-    _, records = train(g, data, epochs=100, batch_size=4, loss_kind="scc",
-                       seed=1, max_steps=200)
+    records = train(g, data, epochs=100, batch_size=4, loss_kind="scc",
+                    seed=1, max_steps=200)
     assert records[-1].loss < records[0].loss
 
 
@@ -221,13 +221,13 @@ def test_single_step_descent_direction(rng, monkeypatch):
     data = tiny_dataset(2, seed=5)
     inputs = np.stack([s.input for s in data])
     targets = np.stack([s.target for s in data])
-    loss0 = compute_loss(g, inputs, targets, "scc", "train")
+    loss0 = compute_loss(g, inputs, targets, "train")
     T.backward(loss0)
     monkeypatch.setattr(training, "ADAM_LR", 1e-5)
     adam_step(list(g.named_parameters()), AdamState())
     g.zero_grad()
     with T.no_grad():
-        loss1 = compute_loss(g, inputs, targets, "scc", "train")
+        loss1 = compute_loss(g, inputs, targets, "train")
     assert loss1.item() < loss0.item()
 
 
@@ -246,6 +246,25 @@ def test_train_task_loss_compatibility():
     g = tiny_model(task="segmentation")
     with pytest.raises(ContractError):
         train(g, tiny_dataset(2), epochs=1, batch_size=2, loss_kind="mae", seed=0)
+
+
+@pytest.mark.parametrize("task, loss_kind", [("regression", "bogus"), ("regression", "scc"),
+                                             ("segmentation", "bogus"), ("segmentation", "mae")])
+def test_refused_loss_kind_leaves_the_model_unchanged(task, loss_kind):
+    # The kind is checked before the first forward, so no batch-norm
+    # statistic or counter moves.
+    if task == "segmentation":
+        g, data = tiny_model(), tiny_dataset(2)
+    else:
+        g, data = tiny_model(task, out_channels=1), synth_depth_dataset(2, image_size=16, seed=2)
+
+    def snapshot():
+        return [a.tobytes() for a in (*(p.data for p in g.parameters()), *dict(g.named_buffers()).values())]
+
+    before = snapshot()
+    with pytest.raises(ContractError, match="loss kind"):
+        train(g, data, epochs=1, batch_size=2, loss_kind=loss_kind, seed=0)
+    assert snapshot() == before
 
 
 def test_train_empty_dataset():
@@ -300,7 +319,7 @@ def test_train_forward_keeps_only_what_backward_reads():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        loss = compute_loss(gen, inputs, targets, "scc", "train")
+        loss = compute_loss(gen, inputs, targets, "train")
         gc.collect()
         alive = tracemalloc.get_traced_memory()[0] - base
     finally:
@@ -326,13 +345,12 @@ def test_train_rejects_nonpositive_budget(override):
 
 
 def test_train_writes_checkpoint_and_log(tmp_path):
-    from vit2img.models import load_checkpoint
+    from vit2img.models import load_checkpoint, save_checkpoint
     from vit2img.training import write_train_log
     g = tiny_model()
     ckpt = tmp_path / "model.ckpt"
-    _, records = train(g, tiny_dataset(2), epochs=2, batch_size=2,
-                       loss_kind="scc", seed=0, checkpoint_path=ckpt)
-    assert ckpt.exists()
+    records = train(g, tiny_dataset(2), epochs=2, batch_size=2, loss_kind="scc", seed=0)
+    save_checkpoint(g, ckpt)
     loaded = load_checkpoint(ckpt)
     x = tiny_dataset(1)[0].input[None]
     assert loaded.forward(x, "eval").data.tobytes() == g.forward(x, "eval").data.tobytes()
@@ -482,8 +500,8 @@ def trajectory_setup(variant):
 def trajectory(variant):
     gen, data, loss_kind = trajectory_setup(variant)
     state = AdamState()
-    _, records = train(gen, data, epochs=2, batch_size=2, loss_kind=loss_kind, seed=5,
-                       max_steps=3, state=state)
+    records = train(gen, data, epochs=2, batch_size=2, loss_kind=loss_kind, seed=5,
+                    max_steps=3, state=state)
     groups = [[p.data for p in gen.parameters()], [a for _, a in gen.named_buffers()],
               [m for m, _ in state.moments.values()], [v for _, v in state.moments.values()]]
     sums = []
@@ -508,9 +526,9 @@ def test_golden_training_trajectory(variant):
 def test_backward_closures_capture_no_tensor(variant):
     # A closure holding a Tensor would keep that Tensor's array alive for the
     # whole tape, read or not.
-    gen, data, loss_kind = trajectory_setup(variant)
+    gen, data, _ = trajectory_setup(variant)
     inputs, targets = training._batch_arrays(data[:2], gen.config.task)
-    nodes = tape_nodes(compute_loss(gen, inputs, targets, loss_kind, "train"))
+    nodes = tape_nodes(compute_loss(gen, inputs, targets, "train"))
     assert len(nodes) > 10
     for node in nodes:
         held = [v for v in closure_values(node.backward) if isinstance(v, Tensor)]
